@@ -7,7 +7,8 @@ Subcommands:
     homology   integral homology of a complex or of a built stage
 
 Exit codes: 0 pass, 1 check failure, 2 input error, 3 budget exceeded.
-The search budget may be overridden with the CWTOWER_BUDGET environment
+The search budget bounds the join steps of each build, over all of its
+stages.  It may be overridden with the CWTOWER_BUDGET environment
 variable; an explicit --budget flag wins.
 """
 
@@ -63,7 +64,12 @@ def _budget(args):
     if args.budget is not None:
         return args.budget
     env = os.environ.get("CWTOWER_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"CWTOWER_BUDGET must be an integer, got {env!r}") from None
 
 
 def _emit(line):
@@ -252,6 +258,8 @@ def cmd_homology(args):
     if os.path.isdir(args.input):
         tower = load_tower(args.input)
         stage = tower.cap if args.stage is None else args.stage
+        if not 0 <= stage <= tower.cap:
+            raise ParseError(f"--stage {stage} is out of range 0..{tower.cap}")
         X = tower.stages[stage]
     elif args.stage is not None:
         raise ParseError("--stage requires a tower directory input")

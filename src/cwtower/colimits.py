@@ -14,10 +14,10 @@ from .core import (
     SimplicialMap,
     SimplicialSet,
     ValidationError,
+    boundary_inclusion,
     disjoint_union,
     identity_map,
 )
-from .homsearch import square_commutes
 from .textio import format_square
 
 
@@ -26,18 +26,21 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
 
     Returns (X2, incl, p2) where incl: X -> X2 is a subset inclusion and
     p2 restricts to p on X and maps each new cell by its square's disk.
+    Every square is checked to commute exactly over p.
     """
     squares = list(squares)
     if not squares:
         return X, identity_map(X), p
     n = squares[0].n
+    incl_n = boundary_inclusion(n)
+    image = {}
     for k, sq in enumerate(squares):
         if sq.n != n:
             raise ValidationError(
                 f"square {k} has dimension {sq.n}, expected {n}")
         if sq.attach.cod != X:
             raise ValidationError(f"square {k}: attaching map does not land in X")
-        if not square_commutes(sq, p):
+        if not _commutes(sq, p, incl_n, image):
             raise ValidationError(f"square {k}: attaching square does not commute")
 
     ndims = max(len(X.counts), n + 1)
@@ -64,6 +67,25 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
         p_assign[n].append(sq.disk.assign[n][0])
     p2 = SimplicialMap(X2, p.cod, tuple(tuple(r) for r in p_assign))
     return X2, incl, p2
+
+
+def _commutes(sq, p, incl_n, image):
+    """p . attach == disk . incl_n, compared generator by generator.
+
+    incl_n is the identity on generator indices, so the right side sends
+    a boundary generator g to disk[g].  ``image`` memoises p.
+    """
+    a, d = sq.attach, sq.disk
+    if a.dom != incl_n.dom or d.dom != incl_n.cod or a.cod != p.dom or d.cod != p.cod:
+        return False
+    for ra, rd in zip(a.assign, d.assign):
+        for s, t in zip(ra, rd):
+            ps = image.get(s)
+            if ps is None:
+                ps = image[s] = p(s)
+            if ps != t:
+                return False
+    return True
 
 
 def stage_zero(A: SimplicialSet, f: SimplicialMap):

@@ -12,6 +12,7 @@ Values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 
@@ -345,7 +346,11 @@ def subset_witness(f: SimplicialMap):
 # ---------------------------------------------------------------------------
 # Standard objects
 # ---------------------------------------------------------------------------
+#
+# These are cached per n: every square of dimension n then shares one
+# domain object, so comparing domains costs an identity check.
 
+@cache
 def standard_simplex(n) -> SimplicialSet:
     """The simplicial set Delta^n, generators indexed by vertex subsets."""
     if n < 0:
@@ -370,6 +375,7 @@ def standard_simplex(n) -> SimplicialSet:
     return SimplicialSet.build(counts, faces, labels)
 
 
+@cache
 def boundary_simplex(n) -> SimplicialSet:
     """The boundary of Delta^n (n >= 1): Delta^n minus its top generator."""
     if n < 1:
@@ -379,6 +385,7 @@ def boundary_simplex(n) -> SimplicialSet:
     return SimplicialSet(full.counts[:n], full.faces[:n], full.labels[:n])
 
 
+@cache
 def boundary_inclusion(n) -> SimplicialMap:
     """The canonical inclusion of the boundary into Delta^n."""
     bnd = boundary_simplex(n)

@@ -24,9 +24,8 @@ from .core import (
     subcomplex,
     subset_witness,
 )
-from .homsearch import DEFAULT_BUDGET, AttachmentSquare, BudgetExceeded, enumerate_squares
+from .homsearch import DEFAULT_BUDGET, Budget, BudgetExceeded, enumerate_squares
 from .colimits import attach_cells, stage_zero
-from .textio import format_square
 
 VARIANTS = ("all-maps", "cellular")
 
@@ -87,7 +86,11 @@ def cellular_variant_filter(squares, n):
 
 def build_tower(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
                 budget=DEFAULT_BUDGET) -> Tower:
-    """Run the staged construction up to dimension ``cap``."""
+    """Run the staged construction up to dimension ``cap``.
+
+    ``budget`` bounds the join steps of the square search over all
+    stages together; exceeding it raises ``BudgetExceeded``.
+    """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if cap < 0:
@@ -100,14 +103,14 @@ def build_tower(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
 
     A0, i0, p0 = stage_zero(A, f)
     stages, inclusions, projections, squares = [A0], [i0], [p0], [[]]
+    steps = Budget(budget)
     for n in range(1, cap + 1):
         try:
-            sqs = enumerate_squares(n, projections[-1], budget)
+            sqs = enumerate_squares(n, projections[-1], steps)
         except BudgetExceeded as e:
-            raise BudgetExceeded(
-                e.budget,
-                f"stage {n}, previous stage has {stages[-1].total_generators}"
-                f" generators") from e
+            cells = stages[-1].total_generators - A.total_generators
+            raise BudgetExceeded(e.budget, e.used, e.unit,
+                                 f"stage {n}, {cells} cells built") from e
         if variant == "cellular":
             sqs = cellular_variant_filter(sqs, n)
         Xn, incl, pn = attach_cells(stages[-1], sqs, projections[-1])
@@ -175,15 +178,13 @@ def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -
 
     for n in range(1, cap + 1):
         prev = stage_maps[-1]
-        index_of = {format_square(sq): i for i, sq in enumerate(Tp.squares[n])}
-        base = T.stages[n - 1]
+        index_of = {(sq.n, sq.attach.assign, sq.disk.assign): i
+                    for i, sq in enumerate(Tp.squares[n])}
         base_p = Tp.stages[n - 1].count(n)
         table = [list(prev.assign[d]) if d < len(prev.assign) else []
                  for d in range(len(T.stages[n].counts))]
         for sq in T.squares[n]:
-            img_sq = AttachmentSquare(n, compose(prev, sq.attach),
-                                      compose(g, sq.disk))
-            key = format_square(img_sq)
+            key = (n, compose(prev, sq.attach).assign, compose(g, sq.disk).assign)
             if key not in index_of:
                 raise ValidationError(
                     f"stage {n}: image square not found in target tower"

@@ -2,9 +2,17 @@ import os
 
 import pytest
 
-from cwtower import boundary_simplex, format_smap, format_sset, standard_simplex
+from cwtower import (
+    boundary_simplex,
+    cw_tower,
+    enumerate_squares,
+    format_smap,
+    format_sset,
+    standard_simplex,
+)
 from cwtower.cli import main
 from cwtower.core import boundary_inclusion
+from cwtower.homsearch import Budget
 
 
 @pytest.fixture
@@ -106,6 +114,34 @@ class TestBuild:
         assert main(["build", point_file, "--out", str(tmp_path / "t2"),
                      "--budget", "1000000"]) == 0
 
+    def test_malformed_budget_env_var_exit_2(self, point_file, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setenv("CWTOWER_BUDGET", "abc")
+        assert main(["build", point_file, "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "CWTOWER_BUDGET" in err
+
+    def test_budget_bounds_the_whole_build(self, point_file, tmp_path, capsys):
+        T = cw_tower(standard_simplex(0), 3)
+        steps = []
+        for n in (1, 2, 3):
+            budget = Budget()
+            enumerate_squares(n, T.projections[n - 1], budget)
+            steps.append(budget.used)
+        # every stage fits the budget on its own, the whole build does not
+        limit = max(steps)
+        assert sum(steps) > limit
+        code = main(["build", point_file, "--out", str(tmp_path / "t"),
+                     "--max-dim", "3", "--budget", str(limit)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"budget of {limit} join steps" in err
+        assert "stage 3, 10 cells built" in err
+        assert main(["build", point_file, "--out", str(tmp_path / "t2"),
+                     "--max-dim", "3", "--budget", str(sum(steps))]) == 0
+
 
 class TestVerify:
     def test_variant_suite(self, circle_file, capsys):
@@ -194,3 +230,13 @@ class TestHomology:
 
     def test_stage_flag_needs_tower(self, circle_file, capsys):
         assert main(["homology", circle_file, "--stage", "1"]) == 2
+
+    @pytest.mark.parametrize("stage", ["7", "3", "-1"])
+    def test_stage_out_of_range_exit_2(self, point_file, tmp_path, capsys, stage):
+        t = tmp_path / "t"
+        assert main(["build", point_file, "--out", str(t)]) == 0
+        capsys.readouterr()
+        assert main(["homology", str(t), "--stage", stage]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --stage {stage} is out of range 0..2\n"

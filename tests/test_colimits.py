@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from cwtower import (
+    AttachmentSquare,
     SimplicialSet,
     ValidationError,
     attach_cells,
@@ -14,6 +15,7 @@ from cwtower import (
     enumerate_squares,
     identity_map,
     is_simplicial_subset,
+    square_commutes,
     stage_zero,
     standard_simplex,
     union_through,
@@ -83,6 +85,17 @@ class TestAttachCells:
         q = SimplicialMap(X, other, ((Simplex((), SimplexRef(0, 1)),),))
         with pytest.raises(ValidationError):
             attach_cells(X, squares, q)  # squares were built over p, not q
+
+    def test_mismatched_disk_rejected(self):
+        # same domains and codomains as a real square, but the disk's
+        # boundary is not the image of the attaching map
+        T = cw_tower(boundary_simplex(2), 1)
+        p = T.projections[0]
+        good = T.squares[1]
+        bad = AttachmentSquare(1, good[0].attach, good[-1].disk)
+        assert not square_commutes(bad, p)
+        with pytest.raises(ValidationError, match="does not commute"):
+            attach_cells(T.stages[0], good[:1] + [bad], p)
 
 
 class TestStageZero:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from cwtower import (
     SimplicialSet,
     boundary_simplex,
     compose,
+    cw_tower,
     enumerate_maps,
     enumerate_squares,
     format_smap,
@@ -14,14 +16,39 @@ from cwtower import (
     standard_simplex,
     subcomplex,
 )
-from cwtower.core import Simplex, SimplexRef, SimplicialMap
-from cwtower.homsearch import BudgetExceeded, simplex_candidates
+from cwtower.core import Simplex, SimplexRef, SimplicialMap, face_closure_errors
+from cwtower.homsearch import Budget, BudgetExceeded, simplex_candidates
 
-from util import SEED, oracle_enumerate_maps, random_one_dim_target, vertex_with_loop
+from util import (
+    SEED,
+    oracle_enumerate_maps,
+    oracle_enumerate_squares,
+    random_one_dim_target,
+    vertex_with_loop,
+)
 
 
 def two_points():
     return SimplicialSet.build([2], [[(), ()]])
+
+
+def subcomplexes_of_disk():
+    """Every face-closed generator subset of Delta^2, as a complex."""
+    D = standard_simplex(2)
+    gens = list(D.generators())
+    out = []
+    for k in range(len(gens) + 1):
+        for chosen in map(set, combinations(gens, k)):
+            if not face_closure_errors(D, chosen):
+                out.append(subcomplex(D, chosen)[0])
+    return out
+
+
+def assert_squares_match_oracle(B, cap):
+    T = cw_tower(B, cap)
+    for n in range(1, cap + 1):
+        p = T.projections[n - 1]
+        assert T.squares[n] == oracle_enumerate_squares(n, p), f"stage {n}"
 
 
 class TestEnumerateMaps:
@@ -119,6 +146,36 @@ class TestEnumerateSquares:
         a = [format_square(sq) for sq in enumerate_squares(2, p)]
         b = [format_square(sq) for sq in enumerate_squares(2, p)]
         assert a == b
+
+    @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
+                                   boundary_simplex(2), standard_simplex(2)],
+                             ids=["point", "interval", "circle", "disk"])
+    def test_matches_oracle_in_order_on_corpus(self, B):
+        assert_squares_match_oracle(B, 3)
+
+    def test_matches_oracle_in_order_on_subcomplexes_of_disk(self):
+        subs = subcomplexes_of_disk()
+        assert len(subs) == 19
+        for B in subs:
+            assert_squares_match_oracle(B, 3 if B.total_generators <= 3 else 2)
+
+    def test_matches_oracle_in_order_on_random_targets(self):
+        rng = random.Random(SEED)
+        for _ in range(40):
+            assert_squares_match_oracle(random_one_dim_target(rng), 2)
+
+    def test_join_steps_charged_to_shared_budget(self):
+        X = vertex_with_loop()
+        p = enumerate_maps(X, standard_simplex(0))[0]
+        budget = Budget(100)
+        enumerate_squares(2, p, budget)
+        # 2 choices of x_0, 2 of x_1 for each, 2 of x_2 for each pair
+        assert budget.used == 2 + 4 + 8
+        enumerate_squares(2, p, budget)
+        assert budget.used == 28
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_squares(2, p, Budget(13))
+        assert exc.value.budget == 13 and exc.value.used > 13
 
     def test_count_monotone_under_inclusion(self):
         # squares over a subcomplex map to distinct squares over the ambient

@@ -1,3 +1,5 @@
+import hashlib
+import os
 import random
 
 import pytest
@@ -134,7 +136,39 @@ class TestSquareFormat:
             parse_square("square n=1 attach[] oops[]", T.stages[0], T.B)
 
 
+# sha256 of the cap-3 tower directories as written when squares were found
+# by pairing enumerate_maps results (the order oracle in tests/util.py)
+GOLDEN_CAP3 = {
+    "point": "433a58a4fb4144de801c830f69bdd50f80d7931de60d018ba5dcf2196982d11f",
+    "interval": "00c67d7cb22541c35e23acd90c3f8f8bdc0ce212059cae2977cf3b494878132a",
+    "circle": "163e4a1e41d70bff84e270030537826a5de621e453318899484bc219db4fd766",
+    "disk": "bab16d27054a3cdce2dd6339d94d7242a03fbf459f688c7f2ea7fd06ce16238f",
+}
+
+
+def tree_sha256(root):
+    """sha256 over the sorted relative paths and bytes of a directory."""
+    h = hashlib.sha256()
+    for dirpath, dirs, files in os.walk(root):
+        dirs.sort()
+        for name in sorted(files):
+            full = os.path.join(dirpath, name)
+            h.update(os.path.relpath(full, root).encode() + b"\0")
+            with open(full, "rb") as fh:
+                h.update(fh.read())
+            h.update(b"\0")
+    return h.hexdigest()
+
+
 class TestTowerDirectory:
+    @pytest.mark.parametrize("name, B", [
+        ("point", standard_simplex(0)), ("interval", standard_simplex(1)),
+        ("circle", boundary_simplex(2)), ("disk", standard_simplex(2))],
+        ids=["point", "interval", "circle", "disk"])
+    def test_golden_digest_cap_3(self, tmp_path, name, B):
+        save_tower(cw_tower(B, 3), tmp_path / name)
+        assert tree_sha256(tmp_path / name) == GOLDEN_CAP3[name]
+
     def test_save_load_round_trip(self, tmp_path):
         T = cw_tower(boundary_simplex(2), 2)
         save_tower(T, tmp_path / "tower")

@@ -2,7 +2,19 @@
 
 from itertools import product
 
-from cwtower import Simplex, SimplexRef, SimplicialMap, SimplicialSet, map_errors
+from cwtower import (
+    AttachmentSquare,
+    Simplex,
+    SimplexRef,
+    SimplicialMap,
+    SimplicialSet,
+    boundary_inclusion,
+    boundary_simplex,
+    compose,
+    enumerate_maps,
+    map_errors,
+    standard_simplex,
+)
 from cwtower.homsearch import simplex_candidates
 
 SEED = 20240817
@@ -28,6 +40,22 @@ def oracle_enumerate_maps(K, X):
         if not map_errors(f):
             out.append(f)
     return out
+
+
+def oracle_enumerate_squares(n, p_prev):
+    """Attaching squares by generic search, independent of the face-index join.
+
+    Every map of the boundary of Delta^n into the stage is paired with
+    every map of Delta^n into the target that restricts to it over
+    p_prev, in (attach, disk) order: the canonical square order.
+    """
+    incl = boundary_inclusion(n)
+    by_restriction = {}
+    for d in enumerate_maps(standard_simplex(n), p_prev.cod):
+        by_restriction.setdefault(compose(d, incl), []).append(d)
+    return [AttachmentSquare(n, a, d)
+            for a in enumerate_maps(boundary_simplex(n), p_prev.dom)
+            for d in by_restriction.get(compose(p_prev, a), ())]
 
 
 def random_one_dim_target(rng, max_gens=4):
