@@ -6,7 +6,7 @@ commutative attaching square over the previous stage.  Because cells are
 indexed by squares, the construction is functorial on the nose, carries
 subset inclusions to subset inclusions, and commutes with intersections
 of subcomplexes; the package ships executable checks for each of those
-statements, plus integral homology via Smith normal form.
+statements, plus exact integral homology.
 """
 
 from .core import (

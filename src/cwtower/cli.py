@@ -30,7 +30,12 @@ from .factorization import (
     identity_tower_map,
     induced_tower_map,
 )
-from .homology import connectivity_report, homology
+from .homology import (
+    chain_complex,
+    connectivity_report,
+    homology_groups,
+    homology_of_complex,
+)
 from .textio import (
     ParseError,
     format_smap,
@@ -265,13 +270,16 @@ def cmd_homology(args):
         raise ParseError("--stage requires a tower directory input")
     else:
         X = _load_sset(args.input)
-    degrees = [args.degree] if args.degree is not None else list(range(max(X.dim, 0) + 1))
+    cc = chain_complex(X)
+    if args.degree is None:
+        groups = homology_groups(cc)
+    else:
+        groups = [homology_of_complex(cc, args.degree)]
     rows = []
-    for i in degrees:
-        H = homology(X, i)
+    for H in groups:
         torsion = ";".join(str(d) for d in H.torsion)
-        rows.append((i, H.betti, torsion))
-        _emit(f"degree={i} betti={H.betti} torsion=[{torsion}] group={H}")
+        rows.append((H.dim, H.betti, torsion))
+        _emit(f"degree={H.dim} betti={H.betti} torsion=[{torsion}] group={H}")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("degree,betti,torsion\n")

@@ -12,7 +12,7 @@ Values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 
 
@@ -169,6 +169,15 @@ class SimplicialSet:
     def face_of_generator(self, ref: SimplexRef, i) -> Simplex:
         return self.faces[ref.dim][ref.index][i]
 
+    @cached_property
+    def validation_report(self):
+        """What ``validate`` reports, computed once: the value is immutable.
+
+        The cache lives in the instance ``__dict__``, outside the fields,
+        so the dataclass stays frozen and equality is unchanged.
+        """
+        return tuple(_validation_report(self))
+
 
 def face(X: SimplicialSet, s: Simplex, i) -> Simplex:
     """The i-th face of a simplex of X, in normal form."""
@@ -217,7 +226,12 @@ def validate(X: SimplicialSet):
     """Report every violated simplicial identity or dangling reference.
 
     Returns a list of human-readable strings; empty iff X is well formed.
+    The check runs once per object; later calls read its cached report.
     """
+    return list(X.validation_report)
+
+
+def _validation_report(X: SimplicialSet):
     report = []
     for d in range(1, len(X.counts)):
         for g in range(X.counts[d]):
@@ -228,12 +242,21 @@ def validate(X: SimplicialSet):
     if report:
         return report
     for d in range(2, len(X.counts)):
-        for g in range(X.counts[d]):
-            s = Simplex((), SimplexRef(d, g))
+        # faces are shared between generators: compute the faces of each
+        # (d-1)-simplex object once (its id is stable while X lives)
+        below = {}
+        for g, fs in enumerate(X.faces[d]):
+            ff = []
+            for t in fs:
+                tf = below.get(id(t))
+                if tf is None:
+                    tf = below[id(t)] = tuple(face(X, t, i) for i in range(d))
+                ff.append(tf)
             for j in range(d + 1):
                 for i in range(j):
-                    lhs = face(X, face(X, s, j), i)
-                    rhs = face(X, face(X, s, i), j - 1)
+                    # d_i d_j and d_{j-1} d_i of the generator
+                    lhs = ff[j][i]
+                    rhs = ff[i][j - 1]
                     if lhs != rhs:
                         report.append(
                             f"generator {d}:{g}: d_{i} d_{j} != d_{j - 1} d_{i}"

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import re
+from functools import lru_cache
 
 from .core import Simplex, SimplexRef, SimplicialMap, SimplicialSet, validate
 from .homsearch import AttachmentSquare
@@ -51,18 +52,33 @@ _SIMPLEX_RE = re.compile(r"^\(\s*((?:s_\d+\s*)*)\|\s*(\d+):(\d+)\s*\)$")
 
 
 def parse_simplex(token, line=None) -> Simplex:
+    try:
+        return _simplex_of(token)
+    except ValueError as e:
+        raise ParseError(str(e), line) from None
+
+
+# Tokens repeat across the lines and files of a tower, and a Simplex is
+# immutable, so each distinct token is parsed once.  A bad token raises,
+# and lru_cache keeps no entry for it.
+@lru_cache(maxsize=1 << 14)
+def _simplex_of(token) -> Simplex:
     m = _SIMPLEX_RE.match(token.strip())
     if not m:
-        raise ParseError(f"malformed simplex token {token!r}", line)
+        raise ValueError(f"malformed simplex token {token!r}")
     word = tuple(int(p[2:]) for p in m.group(1).split())
     try:
         return Simplex(word, SimplexRef(int(m.group(2)), int(m.group(3))))
     except ValueError as e:
-        raise ParseError(f"invalid simplex {token!r}: {e}", line)
+        raise ValueError(f"invalid simplex {token!r}: {e}") from None
 
 
 def _quote(label) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+_QUOTED_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def _split_tokens(text, line=None):
@@ -75,19 +91,11 @@ def _split_tokens(text, line=None):
         if c.isspace():
             i += 1
         elif c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
+            m = _QUOTED_RE.match(text, i)
+            if not m:
                 raise ParseError("unterminated quoted label", line)
-            tokens.append(("str", "".join(out)))
-            i = j + 1
+            tokens.append(("str", _ESCAPE_RE.sub(r"\1", m.group(1))))
+            i = m.end()
         elif c == "(":
             j = text.find(")", i)
             if j < 0:
@@ -371,7 +379,16 @@ def load_tower(path):
             meta[parts[0]] = parts[1]
     if meta.get("tower") != FORMAT_VERSION:
         raise ParseError(f"unsupported tower format {meta.get('tower')!r}")
-    cap = int(meta["cap"])
+    for key in ("variant", "cap"):
+        if key not in meta:
+            raise ParseError(f"meta.txt has no {key!r} line")
+    try:
+        cap = int(meta["cap"])
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ParseError(f"meta.txt: cap must be a non-negative integer,"
+                         f" got {meta['cap']!r}")
     variant = meta["variant"]
     A = parse_sset(read("input.sset"))
     B = parse_sset(read("target.sset"))

@@ -240,3 +240,17 @@ class TestHomology:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --stage {stage} is out of range 0..2\n"
+
+    @pytest.mark.parametrize("meta", ["tower v1\nvariant all-maps\ncap two\n",
+                                      "tower v1\nvariant all-maps\n",
+                                      "tower v1\ncap 2\n"])
+    def test_malformed_meta_exit_2(self, point_file, tmp_path, capsys, meta):
+        t = tmp_path / "t"
+        assert main(["build", point_file, "--out", str(t)]) == 0
+        (t / "meta.txt").write_text(meta)
+        capsys.readouterr()
+        assert main(["homology", str(t)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: meta.txt")
+        assert captured.err.count("\n") == 1

@@ -125,6 +125,16 @@ class TestValidate:
         report = validate(X)
         assert any("dangling" in line for line in report)
 
+    def test_report_computed_once_and_equality_unchanged(self):
+        X = standard_simplex(3)
+        Y = SimplicialSet(X.counts, X.faces, X.labels)
+        assert validate(X) == []
+        assert X.validation_report is X.validation_report
+        assert "validation_report" in vars(X) and "validation_report" not in vars(Y)
+        assert X == Y and hash(X) == hash(Y)
+        with pytest.raises(AttributeError):
+            X.counts = ()
+
 
 class TestDisjointUnion:
     def test_two_points(self):

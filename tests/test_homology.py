@@ -1,6 +1,11 @@
+import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from cwtower import (
     ValidationError,
@@ -16,15 +21,17 @@ from cwtower import (
     standard_simplex,
 )
 from cwtower.homology import (
+    _dense_solve,
     chain_map_matrix,
+    homology_groups,
     int_matrix,
-    integer_determinant,
     invariant_factors,
     kernel_basis,
     solve_int,
+    zeros,
 )
 
-from util import SEED, vertex_with_loop
+from util import SEED, integer_determinant, vertex_with_loop
 
 
 class TestChainComplex:
@@ -118,6 +125,100 @@ class TestSmithNormalForm:
         assert solve_int(int_matrix([[2]]), int_matrix([[3]])) is None
 
 
+# Found by sizing the sparse path: the kernel basis the dense Smith form
+# gave for [[1,-1,-1,4,6,-1,6],[6,1,4,1,4,4,-3],[6,6,-1,-3,4,1,0]].  Its own
+# Smith form once grew entries past 4,000 digits without finishing.
+GROWTH_REGRESSION = [
+    [4985853, 599281948, 387916938, 101952600],
+    [-6841844, -822365521, -532319580, -139904603],
+    [-4424276, -531782373, -344224268, -90469262],
+    [-3075555, -369670865, -239289020, -62890107],
+    [-646713, -77732622, -50316551, -13224231],
+    [71857, 8636958, 5590728, 1469359],
+    [397, 47718, 30888, 8118],
+]
+
+
+class TestSmithRegression:
+    def test_entry_growth_matrix(self):
+        K = int_matrix(GROWTH_REGRESSION)
+        U, D, V = smith_normal_form(K)
+        assert (U @ K @ V == D).all()
+        assert abs(integer_determinant(U)) == 1
+        assert abs(integer_determinant(V)) == 1
+        assert [int(D[i, i]) for i in range(4)] == [1, 1, 1, 1]
+        assert not D[4:, :].any()
+
+
+def _matrices(entries, max_rows=6, max_cols=6):
+    def shaped(mn):
+        m, n = mn
+        return st.lists(st.lists(entries, min_size=n, max_size=n),
+                        min_size=m, max_size=m).map(lambda rows: int_matrix(rows, n))
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)).flatmap(shaped)
+
+
+# dense small entries, and the +-1-sparse shape of boundary matrices
+MATRICES = st.one_of(_matrices(st.integers(-9, 9)),
+                     _matrices(st.sampled_from([-1, 0, 0, 0, 1])))
+ORACLE = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+def _dense_smith(M):
+    """(diagonal, V): the dense Smith form's nonzero diagonal and column transform."""
+    _, D, V = smith_normal_form(M)
+    return tuple(int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0), V
+
+
+class TestSparseAgainstOracles:
+    @ORACLE
+    @given(MATRICES)
+    def test_invariant_factors(self, M):
+        S = sympy_smith_normal_form(Matrix(M.shape[0], M.shape[1], list(M.flat)),
+                                    domain=ZZ)
+        want = tuple(abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i] != 0)
+        assert invariant_factors(M) == want == _dense_smith(M)[0]
+
+    @ORACLE
+    @given(MATRICES)
+    def test_kernel_basis_spans_the_dense_kernel(self, M):
+        K = kernel_basis(M)
+        diag, V = _dense_smith(M)
+        dense = V[:, len(diag):]
+        assert K.shape == dense.shape
+        assert not (M @ K).any()
+        assert _dense_solve(K, dense) is not None
+        assert _dense_solve(dense, K) is not None
+
+    @ORACLE
+    @given(MATRICES, st.data())
+    def test_solve_int_agrees_with_dense_solver(self, A, data):
+        m, n = A.shape
+        k = data.draw(st.integers(0, 3))
+
+        def block(rows):
+            row = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+            return int_matrix(data.draw(st.lists(row, min_size=rows, max_size=rows)), k)
+
+        # half the right-hand sides are solvable by construction
+        B = A @ block(n) if data.draw(st.booleans()) and n else block(m)
+        X = solve_int(A, B)
+        assert (X is None) == (_dense_solve(A, B) is None)
+        if X is not None:
+            assert X.shape == (n, k)
+            assert (A @ X == B).all()
+
+    def test_no_right_hand_side_factors_nothing(self, monkeypatch):
+        h = importlib.import_module("cwtower.homology")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eliminated a matrix for an empty right-hand side")
+
+        monkeypatch.setattr(h, "_eliminate", refuse)
+        X = solve_int(int_matrix([[1, 2], [3, 4], [5, 6]]), zeros(3, 0))
+        assert X.shape == (2, 0)
+
+
 class TestHomologyGroups:
     @pytest.mark.parametrize("n", range(4))
     def test_standard_simplex_contractible(self, n):
@@ -146,6 +247,15 @@ class TestHomologyGroups:
     def test_circle_tower_stage_one(self):
         T = cw_tower(boundary_simplex(2), 1)
         assert homology(T.stages[1], 1).betti == 4
+
+    def test_all_degrees_at_once(self):
+        for X in (boundary_simplex(3), vertex_with_loop(),
+                  cw_tower(boundary_simplex(2), 2).top):
+            cc = chain_complex(X)
+            groups = homology_groups(cc)  # checks the Euler characteristic
+            assert groups == [homology(X, i) for i in range(len(cc.ranks))]
+            euler = sum((-1) ** i * r for i, r in enumerate(cc.ranks))
+            assert euler == sum((-1) ** H.dim * H.betti for H in groups)
 
     def test_str(self):
         assert str(homology(boundary_simplex(2), 1)) == "Z"

@@ -45,6 +45,12 @@ class TestSimplexTokens:
         with pytest.raises(ParseError):
             parse_simplex("(s_0 | nope)", line=7)
 
+    def test_tokens_parsed_once_errors_keep_their_line(self):
+        assert parse_simplex("(s_1 s_0|0:2)") is parse_simplex("(s_1 s_0|0:2)")
+        for line in (3, 9):  # a bad token is not cached with its first line
+            with pytest.raises(ParseError, match=f"^line {line}: invalid simplex"):
+                parse_simplex("(s_0 s_1|0:0)", line)
+
 
 class TestSsetFormat:
     def round_trip(self, X):
@@ -68,6 +74,12 @@ class TestSsetFormat:
         labels = ((('v "zero"', 'v\\1')), ('e #1',))
         Y = type(X)(X.counts, X.faces, (tuple(labels[0]), tuple(labels[1])))
         self.round_trip(Y)
+
+    @pytest.mark.parametrize("label", ['"abc', '"abc\\', '"abc\\"'])
+    def test_unterminated_label_names_the_line(self, label):
+        text = f"sset v1\ndims 1\ndim 0 count 1\ngen 0:0 label {label}\n"
+        with pytest.raises(ParseError, match="^line 4: unterminated quoted label$"):
+            parse_sset(text)
 
     def test_tower_stage_labels(self):
         T = cw_tower(standard_simplex(0), 2)
@@ -212,3 +224,15 @@ class TestTowerDirectory:
     def test_load_missing_dir(self, tmp_path):
         with pytest.raises(ParseError):
             load_tower(tmp_path / "nothing")
+
+    @pytest.mark.parametrize("meta, message", [
+        ("tower v1\nvariant all-maps\ncap two\n", "cap must be a non-negative integer"),
+        ("tower v1\nvariant all-maps\ncap -1\n", "cap must be a non-negative integer"),
+        ("tower v1\nvariant all-maps\n", "no 'cap' line"),
+        ("tower v1\ncap 1\n", "no 'variant' line"),
+    ])
+    def test_malformed_meta(self, tmp_path, meta, message):
+        save_tower(cw_tower(standard_simplex(0), 1), tmp_path / "t")
+        (tmp_path / "t" / "meta.txt").write_text(meta)
+        with pytest.raises(ParseError, match=message):
+            load_tower(tmp_path / "t")

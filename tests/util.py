@@ -73,3 +73,29 @@ def random_one_dim_target(rng, max_gens=4):
 def vertex_with_loop():
     v = Simplex((), SimplexRef(0, 0))
     return SimplicialSet.build([1, 1], [[()], [(v, v)]])
+
+
+def integer_determinant(M):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = M.shape[0]
+    if M.shape != (n, n):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    a = [[int(x) for x in row] for row in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
