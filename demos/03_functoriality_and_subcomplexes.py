@@ -12,27 +12,25 @@ towers.
 
 from cwtower import (
     SimplexRef,
+    SimplicialSet,
     boundary_simplex,
     check_intersection,
     check_subcomplex,
     cw_tower,
-    format_smap,
+    empty_map,
     identity_map,
     identity_tower_map,
     induced_tower_map,
     subcomplex,
 )
-from cwtower.factorization import _empty_to_empty
 
 B = boundary_simplex(2)
 T = cw_tower(B, 2)
-e = _empty_to_empty()
+e = empty_map(SimplicialSet.empty())
 
 # the identity of B induces the identity of the tower
 tm = induced_tower_map(e, identity_map(B), T, T)
-same = all(format_smap(tm.stage_maps[n])
-           == format_smap(identity_tower_map(T).stage_maps[n])
-           for n in range(3))
+same = tm.stage_maps == identity_tower_map(T).stage_maps
 print("identity target map induces identity tower map:", same)
 
 # one edge of the triangle boundary, as a subcomplex

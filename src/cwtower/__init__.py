@@ -26,7 +26,6 @@ from .core import (
     intersect_subsets,
     is_simplicial_subset,
     map_errors,
-    normalize,
     standard_simplex,
     subcomplex,
     validate,
@@ -39,12 +38,11 @@ from .homsearch import (
     enumerate_squares,
     square_commutes,
 )
-from .colimits import attach_cells, stage_zero, union_through
+from .colimits import attach_cells, stage_zero
 from .factorization import (
     Tower,
     TowerMap,
     build_tower,
-    cellular_variant_filter,
     check_intersection,
     check_subcomplex,
     compose_tower_maps,

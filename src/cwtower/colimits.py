@@ -107,14 +107,3 @@ def stage_zero(A: SimplicialSet, f: SimplicialMap):
         p_assign[0].append(Simplex((), SimplexRef(0, b)))
     p0 = SimplicialMap(A0, B, tuple(tuple(r) for r in p_assign))
     return A0, iA, p0
-
-
-def union_through(tower, k) -> SimplicialSet:
-    """The colimit of the tower stages through stage k.
-
-    The stages form an increasing chain of simplicial subsets, so the
-    finite colimit through k is the stage itself; k = -1 gives the base.
-    """
-    if k < -1 or k > tower.cap:
-        raise ValidationError(f"stage {k} out of range (cap {tower.cap})")
-    return tower.A if k == -1 else tower.stages[k]

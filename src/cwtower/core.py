@@ -160,9 +160,6 @@ class SimplicialSet:
             for i in range(c):
                 yield SimplexRef(d, i)
 
-    def label(self, ref: SimplexRef):
-        return self.labels[ref.dim][ref.index]
-
     def has_generator(self, ref: SimplexRef):
         return ref.dim < len(self.counts) and ref.index < self.counts[ref.dim]
 
@@ -201,15 +198,6 @@ def face(X: SimplicialSet, s: Simplex, i) -> Simplex:
             k -= 1
     base = X.face_of_generator(s.gen, k)
     return degenerate(base, out)
-
-
-def normalize(X: SimplicialSet, word, face_index, s: Simplex) -> Simplex:
-    """Normal form of the composite (degeneracy word) . d_face_index . s.
-
-    ``face_index`` may be None for a pure degeneracy composite.
-    """
-    t = s if face_index is None else face(X, s, face_index)
-    return degenerate(t, word)
 
 
 def simplex_errors(X: SimplicialSet, s: Simplex, expected_dim=None):
@@ -292,9 +280,6 @@ class SimplicialMap:
 
     def __call__(self, s: Simplex) -> Simplex:
         return degenerate(self.assign[s.gen.dim][s.gen.index], s.word)
-
-    def on_generator(self, ref: SimplexRef) -> Simplex:
-        return self.assign[ref.dim][ref.index]
 
 
 def identity_map(X: SimplicialSet) -> SimplicialMap:
@@ -518,7 +503,3 @@ def intersect_subsets(X: SimplicialSet, subs) -> SimplicialSet:
             raise ValidationError(f"member {k} is not face-closed: " + errs[0])
     inter = set.intersection(*subs)
     return subcomplex(X, inter)[0]
-
-
-def full_generator_set(X: SimplicialSet):
-    return set(X.generators())

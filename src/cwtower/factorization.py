@@ -50,16 +50,6 @@ class Tower:
     projections: list
     squares: list
 
-    def stage(self, n) -> SimplicialSet:
-        if n == -1:
-            return self.A
-        return self.stages[n]
-
-    def projection(self, n) -> SimplicialMap:
-        if n == -1:
-            return self.f
-        return self.projections[n]
-
     @property
     def top(self) -> SimplicialSet:
         return self.stages[self.cap]
@@ -79,17 +69,13 @@ def is_cellular(f: SimplicialMap) -> bool:
     return True
 
 
-def cellular_variant_filter(squares, n):
-    """Keep the squares whose attaching map is cellular (all of them)."""
-    return [sq for sq in squares if is_cellular(sq.attach)]
-
-
 def build_tower(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
                 budget=DEFAULT_BUDGET) -> Tower:
     """Run the staged construction up to dimension ``cap``.
 
     ``budget`` bounds the join steps of the square search over all
-    stages together; exceeding it raises ``BudgetExceeded``.
+    stages together; exceeding it raises ``BudgetExceeded``.  Every
+    square is cellular, so ``cellular`` builds the same tower and asserts it.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
@@ -111,13 +97,15 @@ def build_tower(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
             cells = stages[-1].total_generators - A.total_generators
             raise BudgetExceeded(e.budget, e.used, e.unit,
                                  f"stage {n}, {cells} cells built") from e
-        if variant == "cellular":
-            sqs = cellular_variant_filter(sqs, n)
         Xn, incl, pn = attach_cells(stages[-1], sqs, projections[-1])
         stages.append(Xn)
         inclusions.append(incl)
         projections.append(pn)
         squares.append(sqs)
+    if variant == "cellular":
+        for n, sqs in enumerate(squares):
+            if not all(is_cellular(sq.attach) for sq in sqs):
+                raise AssertionError(f"stage {n}: an attaching map is not cellular")
     return Tower(A=A, B=f.cod, f=f, cap=cap, variant=variant, stages=stages,
                  inclusions=inclusions, projections=projections, squares=squares)
 
@@ -140,11 +128,6 @@ class TowerMap:
     f: SimplicialMap
     g: SimplicialMap
     stage_maps: list
-
-    def stage_map(self, n) -> SimplicialMap:
-        if n == -1:
-            return self.f
-        return self.stage_maps[n]
 
 
 def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -> TowerMap:
@@ -260,7 +243,7 @@ def check_intersection(X: SimplicialSet, subsets, cap, variant="all-maps",
     if not subsets:
         raise ValidationError("check_intersection needs at least one subset")
     ambient = cw_tower(X, cap, variant, budget)
-    e = _empty_to_empty()
+    e = empty_map(SimplicialSet.empty())
 
     member_images = []
     for gens in subsets:
@@ -284,11 +267,6 @@ def check_intersection(X: SimplicialSet, subsets, cap, variant="all-maps",
         reports.append({"stage": n, "intersection_size": len(lhs),
                         "tower_of_intersection_size": len(rhs), "equal": equal})
     return ok, reports
-
-
-def _empty_to_empty() -> SimplicialMap:
-    E = SimplicialSet.empty()
-    return SimplicialMap(E, E, ())
 
 
 def _image_generators(f: SimplicialMap):

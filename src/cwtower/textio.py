@@ -140,6 +140,11 @@ def _numbered_lines(text):
             yield no, raw
 
 
+def _is_count(token):
+    """ASCII digits only: str.isdigit() also accepts digits int() rejects."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_sset(text) -> SimplicialSet:
     lines = list(_numbered_lines(text))
     if not lines:
@@ -160,7 +165,7 @@ def parse_sset(text) -> SimplicialSet:
     pos += 1
     no, dline = expect("dims")
     dtoks = dline.split()
-    if len(dtoks) != 2 or dtoks[0] != "dims" or not dtoks[1].isdigit():
+    if len(dtoks) != 2 or dtoks[0] != "dims" or not _is_count(dtoks[1]):
         raise ParseError("expected 'dims <D>'", no)
     ndims = int(dtoks[1])
     pos += 1
@@ -172,7 +177,7 @@ def parse_sset(text) -> SimplicialSet:
         no, cline = expect("dim header")
         ctoks = cline.split()
         if (len(ctoks) != 4 or ctoks[0] != "dim" or ctoks[2] != "count"
-                or not ctoks[1].isdigit() or not ctoks[3].isdigit()
+                or not _is_count(ctoks[1]) or not _is_count(ctoks[3])
                 or int(ctoks[1]) != d):
             raise ParseError(f"expected 'dim {d} count <c>'", no)
         counts[d] = int(ctoks[3])

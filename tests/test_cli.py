@@ -149,6 +149,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3 and "FAIL" not in out
 
+    def test_variant_suite_fails_from_first_non_cellular_stage(
+            self, point_file, capsys, never_cellular):
+        assert main(["verify", "--suite", "variant", point_file,
+                     "--max-dim", "3"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS variant-coincidence stage=0",
+            "FAIL variant-coincidence stage=1",
+            "FAIL variant-coincidence stage=2",
+            "FAIL variant-coincidence stage=3",
+        ]
+
     def test_connectivity_suite(self, point_file, capsys):
         code = main(["verify", "--suite", "connectivity", point_file,
                      "--simply-connected"])
@@ -227,6 +238,23 @@ class TestHomology:
         assert main(["homology", circle_file, "--csv", str(csv)]) == 0
         assert csv.read_text().splitlines() == [
             "degree,betti,torsion", "0,1,", "1,1,"]
+
+    @pytest.mark.parametrize("body", ["dims \u00b2\n",
+                                      "dims 1\ndim 0 count \u00b2\n",
+                                      "dims 1\ndim \u00b2 count 1\n"])
+    def test_non_ascii_digits_exit_2(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.sset"
+        bad.write_text("sset v1\n" + body, encoding="utf-8")
+        assert main(["homology", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_no_budget_flag(self, circle_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["homology", circle_file, "--budget", "5"])
+        assert exc.value.code == 2
 
     def test_stage_flag_needs_tower(self, circle_file, capsys):
         assert main(["homology", circle_file, "--stage", "1"]) == 2

@@ -18,7 +18,6 @@ from cwtower import (
     square_commutes,
     stage_zero,
     standard_simplex,
-    union_through,
     validate,
 )
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion
@@ -120,14 +119,9 @@ class TestStageZero:
 class TestUnionThrough:
     def test_base_and_stages(self):
         T = cw_tower(standard_simplex(0), 2)
-        assert union_through(T, -1) == SimplicialSet.empty()
-        assert union_through(T, 0) == T.stages[0]
-        assert union_through(T, 2).counts == (1, 1, 8)
-
-    def test_out_of_range(self):
-        T = cw_tower(standard_simplex(0), 1)
-        with pytest.raises(ValidationError):
-            union_through(T, 2)
+        assert T.A == SimplicialSet.empty()
+        assert T.stages[0] == stage_zero(T.A, T.f)[0]
+        assert T.stages[2].counts == (1, 1, 8)
 
 
 class TestPushoutUniversality:

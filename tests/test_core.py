@@ -15,7 +15,6 @@ from cwtower import (
     identity_map,
     intersect_subsets,
     is_simplicial_subset,
-    normalize,
     standard_simplex,
     subcomplex,
     validate,
@@ -71,8 +70,8 @@ class TestNormalForm:
     def test_normalize_wrapper(self):
         X = standard_simplex(0)
         s0v = Simplex((0,), SimplexRef(0, 0))
-        assert normalize(X, (), 0, s0v) == V(0)
-        assert normalize(X, (0,), None, V(0)) == s0v
+        assert degenerate(face(X, s0v, 0), ()) == V(0)
+        assert degenerate(V(0), (0,)) == s0v
 
     def test_words_must_be_strictly_decreasing(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ from cwtower import (
     compose,
     compose_tower_maps,
     cw_tower,
+    empty_map,
     format_smap,
     format_square,
     format_sset,
@@ -22,7 +23,7 @@ from cwtower import (
     validate,
 )
 from cwtower.core import Simplex, SimplexRef, SimplicialMap
-from cwtower.factorization import _empty_to_empty, cellular_variant_filter
+from cwtower.factorization import is_cellular
 
 R = SimplexRef
 EDGE01 = {R(0, 0), R(0, 1), R(1, 0)}
@@ -99,8 +100,12 @@ class TestVariantCoincidence:
     def test_filter_is_identity(self):
         T = cw_tower(standard_simplex(0), 2)
         for n in (1, 2):
-            assert cellular_variant_filter(T.squares[n], n) == T.squares[n]
-        assert cellular_variant_filter([], 1) == []
+            assert all(is_cellular(sq.attach) for sq in T.squares[n])
+
+    def test_cellular_build_asserts_every_stage(self, never_cellular):
+        with pytest.raises(AssertionError, match="stage 1"):
+            cw_tower(standard_simplex(0), 2, "cellular")
+        assert cw_tower(standard_simplex(0), 2).stages[2].counts == (1, 1, 8)
 
 
 def collapse_to_point(B):
@@ -133,7 +138,7 @@ class TestFunctorLaws:
     def test_identity_law(self):
         for B in (standard_simplex(0), boundary_simplex(2)):
             T = cw_tower(B, 2)
-            tm = induced_tower_map(_empty_to_empty(), identity_map(B), T, T)
+            tm = induced_tower_map(empty_map(SimplicialSet.empty()), identity_map(B), T, T)
             ident = identity_tower_map(T)
             for n in range(3):
                 assert tm.stage_maps[n] == ident.stage_maps[n]
@@ -142,7 +147,7 @@ class TestFunctorLaws:
         for g in self.corpus():
             T = cw_tower(g.dom, 2)
             Tp = cw_tower(g.cod, 2)
-            tm = induced_tower_map(_empty_to_empty(), g, T, Tp)
+            tm = induced_tower_map(empty_map(SimplicialSet.empty()), g, T, Tp)
             assert len(tm.stage_maps) == 3
 
     def test_composition_law(self):
@@ -155,7 +160,7 @@ class TestFunctorLaws:
             (subcomplex(edge, {R(0, 0)})[1], incl_e),  # vertex -> edge -> circle
             (collapse_to_point(edge), identity_map(standard_simplex(0))),
         ]
-        e = _empty_to_empty()
+        e = empty_map(SimplicialSet.empty())
         for g1, g2 in pairs:
             T = cw_tower(g1.dom, 2)
             Tm = cw_tower(g1.cod, 2)
@@ -184,7 +189,7 @@ class TestFunctorLaws:
         T = cw_tower(B, 1, "all-maps")
         Tp = cw_tower(B, 1, "cellular")
         with pytest.raises(ValidationError):
-            induced_tower_map(_empty_to_empty(), identity_map(B), T, Tp)
+            induced_tower_map(empty_map(SimplicialSet.empty()), identity_map(B), T, Tp)
 
 
 class TestSubcomplexTheorem:
@@ -203,7 +208,7 @@ class TestSubcomplexTheorem:
         return pairs
 
     def test_inclusions_induce_subcomplex_inclusions(self):
-        e = _empty_to_empty()
+        e = empty_map(SimplicialSet.empty())
         for S, incl in self.inclusion_pairs():
             T = cw_tower(S, 2)
             Tp = cw_tower(incl.cod, 2)
@@ -214,7 +219,7 @@ class TestSubcomplexTheorem:
         B2 = boundary_simplex(2)
         T = cw_tower(B2, 1)
         Tp = cw_tower(standard_simplex(0), 1)
-        tm = induced_tower_map(_empty_to_empty(), collapse_to_point(B2), T, Tp)
+        tm = induced_tower_map(empty_map(SimplicialSet.empty()), collapse_to_point(B2), T, Tp)
         ok, witness = check_subcomplex(tm)
         assert not ok
         assert witness[0] == 0
@@ -222,7 +227,7 @@ class TestSubcomplexTheorem:
     def test_identity_passes(self):
         B2 = boundary_simplex(2)
         T = cw_tower(B2, 1)
-        tm = induced_tower_map(_empty_to_empty(), identity_map(B2), T, T)
+        tm = induced_tower_map(empty_map(SimplicialSet.empty()), identity_map(B2), T, T)
         assert check_subcomplex(tm) == (True, None)
 
 

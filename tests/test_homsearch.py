@@ -181,13 +181,13 @@ class TestEnumerateSquares:
         # squares over a subcomplex map to distinct squares over the ambient
         from cwtower import cw_tower
         from cwtower.homsearch import AttachmentSquare
-        from cwtower.factorization import induced_tower_map, _empty_to_empty
+        from cwtower import SimplicialSet, empty_map, induced_tower_map
 
         Bp = boundary_simplex(2)
         B, incl = subcomplex(Bp, {SimplexRef(0, 0), SimplexRef(0, 1), SimplexRef(1, 0)})
         T = cw_tower(B, 2)
         Tp = cw_tower(Bp, 2)
-        tm = induced_tower_map(_empty_to_empty(), incl, T, Tp)
+        tm = induced_tower_map(empty_map(SimplicialSet.empty()), incl, T, Tp)
         for n in (1, 2):
             target_keys = {format_square(sq) for sq in Tp.squares[n]}
             images = [

@@ -157,6 +157,11 @@ GOLDEN_CAP3 = {
     "disk": "bab16d27054a3cdce2dd6339d94d7242a03fbf459f688c7f2ea7fd06ce16238f",
 }
 
+# the cap-3 circle directory of the cellular variant, as written when that
+# variant filtered the squares of each stage before attaching them
+GOLDEN_CAP3_CELLULAR_CIRCLE = (
+    "0ba1162ad69a7d291d7c5381e4cf3fd36be4f97b978d8d65412ab796f1d19e37")
+
 
 def tree_sha256(root):
     """sha256 over the sorted relative paths and bytes of a directory."""
@@ -180,6 +185,10 @@ class TestTowerDirectory:
     def test_golden_digest_cap_3(self, tmp_path, name, B):
         save_tower(cw_tower(B, 3), tmp_path / name)
         assert tree_sha256(tmp_path / name) == GOLDEN_CAP3[name]
+
+    def test_golden_digest_cap_3_cellular(self, tmp_path):
+        save_tower(cw_tower(boundary_simplex(2), 3, "cellular"), tmp_path / "c")
+        assert tree_sha256(tmp_path / "c") == GOLDEN_CAP3_CELLULAR_CIRCLE
 
     def test_save_load_round_trip(self, tmp_path):
         T = cw_tower(boundary_simplex(2), 2)
