@@ -10,7 +10,11 @@ Exit codes: 0 pass, 1 check failure, 2 input error, 3 budget exceeded.
 The search budget of build and verify bounds the join steps of each
 build, over all of its stages.  It may be overridden with the
 CWTOWER_BUDGET environment variable; an explicit --budget flag wins.
-homology does no search and takes no budget.
+homology takes no budget flag.  On a tower directory, homology --stage k
+replays stages 0..k from the directory's inputs under the default budget
+(exit 3 if the replay exceeds it) and refuses (exit 2) a directory whose
+files for those stages differ from the replay; stage files above k are
+not read.
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ from .textio import (
     load_tower,
     parse_smap,
     parse_sset,
+    read_text,
     save_tower,
+    tower_meta,
 )
 
 EXIT_OK = 0
@@ -60,16 +66,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-def _read(path):
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e.strerror}")
-
-
 def _load_sset(path):
-    return parse_sset(_read(path))
+    return parse_sset(read_text(path))
 
 
 def _budget(args):
@@ -98,7 +96,7 @@ def cmd_build(args):
         if not args.map:
             raise ParseError("--domain requires --map")
         A = _load_sset(args.domain)
-        f = parse_smap(_read(args.map), A, B)
+        f = parse_smap(read_text(args.map), A, B)
     else:
         A = SimplicialSet.empty()
         f = empty_map(B)
@@ -218,7 +216,7 @@ def cmd_verify(args):
         report("functor naturality", True)  # construction validates exactly
         if args.then:
             Bpp = _load_sset(args.then[0])
-            h = parse_smap(_read(args.then[1]), Bp, Bpp)
+            h = parse_smap(read_text(args.then[1]), Bp, Bpp)
             Tpp = cw_tower(Bpp, args.max_dim, args.variant, budget)
             tm2 = induced_tower_map(e, h, Tp, Tpp)
             direct = induced_tower_map(e, compose(h, g), T, Tpp)
@@ -229,7 +227,7 @@ def cmd_verify(args):
         X = _load_sset(args.inputs[0])
         if len(args.inputs) < 2:
             raise ParseError("intersect suite needs a family file")
-        family = _parse_family(_read(args.inputs[1]))
+        family = _parse_family(read_text(args.inputs[1]))
         ok, reports = check_intersection(X, family, args.max_dim, args.variant,
                                          budget)
         for rep in reports:
@@ -248,7 +246,7 @@ def _load_pair_with_map(args):
         raise ParseError(f"suite {args.suite!r} needs B.sset B'.sset map.smap")
     B = _load_sset(args.inputs[0])
     Bp = _load_sset(args.inputs[1])
-    g = parse_smap(_read(args.inputs[2]), B, Bp)
+    g = parse_smap(read_text(args.inputs[2]), B, Bp)
     return B, Bp, g
 
 
@@ -258,11 +256,11 @@ def _load_pair_with_map(args):
 
 def cmd_homology(args):
     if os.path.isdir(args.input):
-        tower = load_tower(args.input)
-        stage = tower.cap if args.stage is None else args.stage
-        if not 0 <= stage <= tower.cap:
-            raise ParseError(f"--stage {stage} is out of range 0..{tower.cap}")
-        X = tower.stages[stage]
+        _, cap = tower_meta(args.input)
+        stage = cap if args.stage is None else args.stage
+        if not 0 <= stage <= cap:
+            raise ParseError(f"--stage {stage} is out of range 0..{cap}")
+        X = load_tower(args.input, upto=stage).stages[stage]
     elif args.stage is not None:
         raise ParseError("--stage requires a tower directory input")
     else:

@@ -18,7 +18,7 @@ from .core import (
     disjoint_union,
     identity_map,
 )
-from .textio import format_square
+from .textio import format_square, simplex_formatter
 
 
 def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
@@ -48,13 +48,14 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     faces = [list(X.faces[d]) if d < len(X.counts) else [] for d in range(ndims)]
     labels = [list(X.labels[d]) if d < len(X.counts) else [] for d in range(ndims)]
     top = Simplex((), SimplexRef(n, 0))  # top generator of Delta^n
+    token = simplex_formatter()  # the squares share their simplices
     for sq in squares:
         # faces of Delta^n's top generator are the boundary generators,
         # with the same indexing in the boundary complex
         fs = tuple(sq.attach.assign[n - 1][sq.disk.dom.face_of_generator(top.gen, i).gen.index]
                    for i in range(n + 1))
         faces[n].append(fs)
-        labels[n].append(format_square(sq))
+        labels[n].append(format_square(sq, token))
         counts[n] += 1
     X2 = SimplicialSet(tuple(counts), tuple(tuple(r) for r in faces),
                        tuple(tuple(r) for r in labels))

@@ -17,10 +17,18 @@ where a face / assignment token is an operator-syntax simplex
 with an empty degeneracy word written ``(| dim:index)``.  A generator of
 dimension d lists exactly d+1 faces, in order d_0 .. d_d.  Round-trip
 (parse after print) is the identity.
+
+A tower directory is canonical: ``tower_files`` is the one definition of
+its bytes, and every file but ``meta.txt`` and the three inputs is a
+function of those four.  ``load_tower(path, upto=k)`` therefore parses
+only the inputs, replays stages 0..k and refuses the directory if any of
+their files differs byte for byte from the replay; stage files above k
+are not read.
 """
 
 from __future__ import annotations
 
+import codecs
 import os
 import re
 from functools import lru_cache
@@ -46,6 +54,25 @@ class ParseError(ValueError):
 def format_simplex(s: Simplex) -> str:
     word = " ".join(f"s_{j}" for j in s.word)
     return f"({word}|{s.gen.dim}:{s.gen.index})"
+
+
+def simplex_formatter():
+    """``format_simplex`` memoised by object identity, for one call's use.
+
+    A stage shares a few candidate ``Simplex`` objects among many faces
+    and squares, so each is formatted once.  The memo holds every simplex
+    it has seen, so no id is reused while it lives; it must not outlive
+    the call that made it.
+    """
+    memo = {}
+
+    def token(s):
+        hit = memo.get(id(s))
+        if hit is None:
+            hit = memo[id(s)] = (s, format_simplex(s))
+        return hit[1]
+
+    return token
 
 
 _SIMPLEX_RE = re.compile(r"^\(\s*((?:s_\d+\s*)*)\|\s*(\d+):(\d+)\s*\)$")
@@ -118,6 +145,7 @@ def _split_tokens(text, line=None):
 # ---------------------------------------------------------------------------
 
 def format_sset(X: SimplicialSet) -> str:
+    token = simplex_formatter()
     lines = [f"sset {FORMAT_VERSION}", f"dims {len(X.counts)}"]
     for d, c in enumerate(X.counts):
         lines.append(f"dim {d} count {c}")
@@ -127,10 +155,10 @@ def format_sset(X: SimplicialSet) -> str:
             if label is not None:
                 parts.append(f"label {_quote(label)}")
             if d >= 1:
-                parts.append("faces " + " ".join(
-                    format_simplex(s) for s in X.faces[d][g]))
+                parts.append("faces " + " ".join(map(token, X.faces[d][g])))
             lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _numbered_lines(text):
@@ -236,11 +264,13 @@ def parse_sset(text) -> SimplicialSet:
 # ---------------------------------------------------------------------------
 
 def format_smap(f: SimplicialMap) -> str:
+    token = simplex_formatter()
     lines = [f"smap {FORMAT_VERSION}"]
     for d in range(len(f.dom.counts)):
         for g in range(f.dom.counts[d]):
-            lines.append(f"gen {d}:{g} -> {format_simplex(f.assign[d][g])}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"gen {d}:{g} -> {token(f.assign[d][g])}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
@@ -282,21 +312,25 @@ def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
         raise ParseError(str(e))
 
 
-def format_assignments(f: SimplicialMap) -> str:
-    """Flat one-line assignment list, generators in canonical order."""
-    return " ".join(format_simplex(f.assign[d][g])
-                    for d in range(len(f.dom.counts))
-                    for g in range(f.dom.counts[d]))
+def format_assignments(f: SimplicialMap, token=None) -> str:
+    """Flat one-line assignment list, generators in canonical order.
+
+    ``token`` formats one simplex; by default a ``simplex_formatter()``
+    of this call.
+    """
+    token = token or simplex_formatter()
+    return " ".join([token(s) for row in f.assign for s in row])
 
 
 # ---------------------------------------------------------------------------
 # Attaching squares
 # ---------------------------------------------------------------------------
 
-def format_square(sq: AttachmentSquare) -> str:
+def format_square(sq: AttachmentSquare, token=None) -> str:
+    token = token or simplex_formatter()
     return (f"square n={sq.n}"
-            f" attach[{format_assignments(sq.attach)}]"
-            f" disk[{format_assignments(sq.disk)}]")
+            f" attach[{format_assignments(sq.attach, token)}]"
+            f" disk[{format_assignments(sq.disk, token)}]")
 
 
 _SQUARE_RE = re.compile(r"^square n=(\d+) attach\[(.*)\] disk\[(.*)\]$")
@@ -333,32 +367,44 @@ def parse_square(line, stage_prev, target, line_no=None) -> AttachmentSquare:
 # Tower directories
 # ---------------------------------------------------------------------------
 
+def tower_files(tower, upto):
+    """The files of a tower directory holding stages 0..upto, in write order.
+
+    Yields (name, text).  A stage's manifest is the labels of its new
+    cells, which ``attach_cells`` made with ``format_square``.
+    """
+    yield "meta.txt", _meta_text(tower.variant, upto)
+    yield "input.sset", format_sset(tower.A)
+    yield "target.sset", format_sset(tower.B)
+    yield "input_map.smap", format_smap(tower.f)
+    for n in range(upto + 1):
+        yield f"stage_{n}.sset", format_sset(tower.stages[n])
+        yield f"include_{n}.smap", format_smap(tower.inclusions[n])
+        yield f"project_{n}.smap", format_smap(tower.projections[n])
+        if n >= 1:
+            new = len(tower.squares[n])
+            labels = tower.stages[n].labels[n] if new else ()
+            # every label ends its line; no squares give an empty file
+            yield f"squares_{n}.manifest", "\n".join(
+                (*labels[len(labels) - new:], ""))
+    yield "growth.csv", growth_csv(tower, upto)
+
+
+def _meta_text(variant, cap):
+    return f"tower {FORMAT_VERSION}\nvariant {variant}\ncap {cap}\n"
+
+
 def save_tower(tower, path):
     """Serialize a tower to a directory (deterministic, bit-exact)."""
     os.makedirs(path, exist_ok=True)
-
-    def write(name, text):
-        with open(os.path.join(path, name), "w") as fh:
+    for name, text in tower_files(tower, tower.cap):
+        with open(os.path.join(path, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 
-    write("meta.txt", f"tower {FORMAT_VERSION}\nvariant {tower.variant}\n"
-                      f"cap {tower.cap}\n")
-    write("input.sset", format_sset(tower.A))
-    write("target.sset", format_sset(tower.B))
-    write("input_map.smap", format_smap(tower.f))
-    for n in range(tower.cap + 1):
-        write(f"stage_{n}.sset", format_sset(tower.stages[n]))
-        write(f"include_{n}.smap", format_smap(tower.inclusions[n]))
-        write(f"project_{n}.smap", format_smap(tower.projections[n]))
-        if n >= 1:
-            manifest = "".join(format_square(sq) + "\n" for sq in tower.squares[n])
-            write(f"squares_{n}.manifest", manifest)
-    write("growth.csv", growth_csv(tower))
 
-
-def growth_csv(tower) -> str:
+def growth_csv(tower, upto=None) -> str:
     rows = ["stage,dimension,new-cells,cumulative-generators"]
-    for n in range(tower.cap + 1):
+    for n in range(tower.cap + 1 if upto is None else upto + 1):
         if n == 0:
             new = tower.stages[0].count(0) - tower.A.count(0)
         else:
@@ -367,18 +413,26 @@ def growth_csv(tower) -> str:
     return "\n".join(rows) + "\n"
 
 
-def load_tower(path):
-    from .factorization import Tower
+def read_text(path, what=None):
+    """A UTF-8 file's text; an unreadable or undecodable file is a ParseError
+    naming ``what`` (default: the path)."""
+    what = what or path
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{what} is not valid UTF-8") from None
 
-    def read(name):
-        try:
-            with open(os.path.join(path, name)) as fh:
-                return fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read tower file {name}: {exc}") from exc
+
+def tower_meta(path):
+    """(variant, cap) from a tower directory's ``meta.txt``, checked."""
+    from .factorization import VARIANTS
 
     meta = {}
-    for line in read("meta.txt").splitlines():
+    for line in read_text(os.path.join(path, "meta.txt"),
+                          "tower file meta.txt").splitlines():
         parts = line.split(None, 1)
         if len(parts) == 2:
             meta[parts[0]] = parts[1]
@@ -394,24 +448,75 @@ def load_tower(path):
     if cap < 0:
         raise ParseError(f"meta.txt: cap must be a non-negative integer,"
                          f" got {meta['cap']!r}")
-    variant = meta["variant"]
+    if meta["variant"] not in VARIANTS:
+        raise ParseError(f"meta.txt: unknown variant {meta['variant']!r}")
+    return meta["variant"], cap
+
+
+def load_tower(path, upto=None):
+    """Load stages 0..upto (default: all) of a tower directory by replaying it.
+
+    A tower is a function of its inputs, so only ``input.sset``,
+    ``target.sset`` and ``input_map.smap`` are parsed.  The construction
+    is run again to stage ``upto`` under the default budget, and every
+    file it would write for those stages must equal the stored one byte
+    for byte; the first that differs is a ParseError.  Stage files above
+    ``upto`` are not read.  The tower returned has ``cap == upto``.
+    """
+    from .factorization import build_tower
+
+    variant, cap = tower_meta(path)
+    k = cap if upto is None else upto
+    if not 0 <= k <= cap:
+        raise ParseError(f"stage {k} is out of range 0..{cap}")
+    # a meta.txt claiming more stages than the directory holds builds none
+    for n in range(k + 1):
+        names = [f"stage_{n}.sset", f"include_{n}.smap", f"project_{n}.smap"]
+        if n >= 1:
+            names.append(f"squares_{n}.manifest")
+        for name in names:
+            if not os.path.isfile(os.path.join(path, name)):
+                raise ParseError(f"tower file {name} is missing")
+
+    def read(name):
+        return read_text(os.path.join(path, name), f"tower file {name}")
+
     A = parse_sset(read("input.sset"))
     B = parse_sset(read("target.sset"))
     f = parse_smap(read("input_map.smap"), A, B)
-    stages = []
-    inclusions = []
-    projections = []
-    squares = [[]]
-    prev = A
-    for n in range(cap + 1):
-        stage = parse_sset(read(f"stage_{n}.sset"))
-        stages.append(stage)
-        inclusions.append(parse_smap(read(f"include_{n}.smap"), prev, stage))
-        projections.append(parse_smap(read(f"project_{n}.smap"), stage, B))
-        if n >= 1:
-            lines = read(f"squares_{n}.manifest").splitlines()
-            squares.append([parse_square(line, stages[n - 1], B, i + 1)
-                            for i, line in enumerate(lines) if line.strip()])
-        prev = stage
-    return Tower(A=A, B=B, f=f, cap=cap, variant=variant, stages=stages,
-                 inclusions=inclusions, projections=projections, squares=squares)
+    tower = build_tower(A, f, k, variant)
+    for name, text in tower_files(tower, k):
+        if name == "meta.txt":
+            text = _meta_text(variant, cap)
+        if not _stored_as(os.path.join(path, name), name, text,
+                          prefix=name == "growth.csv"):
+            raise ParseError(
+                f"tower file {name} is not the replay of its inputs")
+    return tower
+
+
+def _stored_as(path, name, text, prefix=False):
+    """Does the file hold exactly ``text`` (with ``prefix``, begin with it)?
+
+    The file is decoded and compared a chunk at a time, so no second copy
+    of a large stage file is held.
+    """
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    pos = 0
+    try:
+        with open(path, "rb") as fh:
+            while pos < len(text) or not prefix:
+                chunk = fh.read(1 << 20)
+                part = decode(chunk, not chunk)
+                if prefix:
+                    part = part[:len(text) - pos]
+                if not text.startswith(part, pos):
+                    return False
+                pos += len(part)
+                if not chunk:
+                    break
+    except OSError as exc:
+        raise ParseError(f"cannot read tower file {name}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"tower file {name} is not valid UTF-8") from None
+    return pos == len(text)

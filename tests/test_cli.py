@@ -2,13 +2,18 @@ import os
 
 import pytest
 
+import cwtower.factorization
 from cwtower import (
+    SimplexRef,
     boundary_simplex,
     cw_tower,
+    enumerate_maps,
     enumerate_squares,
     format_smap,
     format_sset,
+    identity_map,
     standard_simplex,
+    subcomplex,
 )
 from cwtower.cli import main
 from cwtower.core import boundary_inclusion
@@ -282,3 +287,143 @@ class TestHomology:
         assert captured.out == ""
         assert captured.err.startswith("error: meta.txt")
         assert captured.err.count("\n") == 1
+
+
+def one_error_line(capsys):
+    """The stderr of a command that exited 2: exactly one ``error:`` line."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+class TestUntrustedFiles:
+    def test_non_utf8_sset_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.sset"
+        bad.write_bytes(b"sset v1\ndims \xff\n")
+        assert main(["homology", str(bad)]) == 2
+        assert "not valid UTF-8" in one_error_line(capsys)
+
+    def test_non_utf8_tower_file_exit_2(self, circle_tower, capsys):
+        stage = circle_tower / "stage_1.sset"
+        stage.write_bytes(stage.read_bytes().replace(b"point", b"p\xffint", 1))
+        assert main(["homology", str(circle_tower)]) == 2
+        assert "stage_1.sset" in one_error_line(capsys)
+
+
+@pytest.fixture
+def circle_tower(circle_file, tmp_path, capsys):
+    t = tmp_path / "circle-tower"
+    assert main(["build", circle_file, "--out", str(t)]) == 0
+    capsys.readouterr()
+    return t
+
+
+def edit_lines(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+class TestTamperedTower:
+    """A directory that is not the replay of its inputs is refused."""
+
+    def refused(self, path, capsys, name):
+        assert main(["homology", str(path)]) == 2
+        assert name in one_error_line(capsys)
+
+    def test_deleted_square(self, circle_tower, capsys):
+        edit_lines(circle_tower / "squares_2.manifest", lambda ls: ls[:5] + ls[6:])
+        self.refused(circle_tower, capsys, "squares_2.manifest")
+
+    def test_non_commuting_square(self, circle_tower, capsys):
+        def edit(lines):
+            assert lines[1].endswith("disk[(|0:0) (|0:1) (|1:0)]\n")
+            return [lines[0], lines[1].replace("(|1:0)]", "(|1:2)]")] + lines[2:]
+        edit_lines(circle_tower / "squares_1.manifest", edit)
+        self.refused(circle_tower, capsys, "squares_1.manifest")
+
+    def test_swapped_squares(self, circle_tower, capsys):
+        edit_lines(circle_tower / "squares_2.manifest",
+                   lambda ls: [ls[1], ls[0]] + ls[2:])
+        self.refused(circle_tower, capsys, "squares_2.manifest")
+
+    def test_edited_face(self, circle_tower, capsys):
+        stage = circle_tower / "stage_2.sset"
+        text = stage.read_text()
+        stage.write_text(text.replace("faces (|1:0)", "faces (|1:3)", 1))
+        self.refused(circle_tower, capsys, "stage_2.sset")
+
+    def test_unknown_variant(self, circle_tower, capsys):
+        (circle_tower / "meta.txt").write_text("tower v1\nvariant bogus\ncap 2\n")
+        self.refused(circle_tower, capsys, "unknown variant 'bogus'")
+
+    def test_cap_beyond_stored_stages(self, circle_tower, capsys, monkeypatch):
+        (circle_tower / "meta.txt").write_text("tower v1\nvariant all-maps\ncap 9\n")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a stage was built")
+
+        monkeypatch.setattr(cwtower.factorization, "build_tower", no_build)
+        self.refused(circle_tower, capsys, "stage_3.sset is missing")
+
+    def test_stages_above_the_request_not_read(self, circle_tower, capsys):
+        assert main(["homology", str(circle_tower), "--stage", "1"]) == 0
+        intact = capsys.readouterr().out
+        for name in ("stage_2.sset", "include_2.smap", "project_2.smap",
+                     "squares_2.manifest"):
+            (circle_tower / name).unlink()
+        assert main(["homology", str(circle_tower), "--stage", "1"]) == 0
+        assert capsys.readouterr().out == intact
+        assert intact.splitlines() == ["degree=0 betti=1 torsion=[] group=Z",
+                                       "degree=1 betti=4 torsion=[] group=Z + Z + Z + Z"]
+
+
+class TestSuitesAtCap3:
+    """The theorem suites where stage 3 is reached."""
+
+    def passes(self, argv, capsys):
+        assert main(["verify", *argv, "--max-dim", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS ") for line in lines)
+        return lines
+
+    def write(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def test_functor_point_in_interval(self, tmp_path, capsys):
+        pt, iv = standard_simplex(0), standard_simplex(1)
+        lines = self.passes([
+            "--suite", "functor",
+            self.write(tmp_path, "pt.sset", format_sset(pt)),
+            self.write(tmp_path, "iv.sset", format_sset(iv)),
+            self.write(tmp_path, "g.smap", format_smap(enumerate_maps(pt, iv)[0])),
+            "--then", str(tmp_path / "iv.sset"),
+            self.write(tmp_path, "id.smap", format_smap(identity_map(iv)))], capsys)
+        assert len(lines) == 3
+
+    def test_subcomplex_edge_in_circle(self, tmp_path, capsys):
+        X = boundary_simplex(2)
+        S, incl = subcomplex(X, {SimplexRef(0, 0), SimplexRef(0, 1), SimplexRef(1, 0)})
+        assert S.counts == (2, 1)
+        self.passes(["--suite", "subcomplex",
+                     self.write(tmp_path, "e.sset", format_sset(S)),
+                     self.write(tmp_path, "c.sset", format_sset(X)),
+                     self.write(tmp_path, "i.smap", format_smap(incl))], capsys)
+
+    def test_intersect_two_edges_of_circle(self, circle_file, tmp_path, capsys):
+        fam = self.write(tmp_path, "family.txt",
+                         "subset 0:0 0:1 1:0\nsubset 0:0 0:2 1:1\n")
+        lines = self.passes(["--suite", "intersect", circle_file, fam], capsys)
+        assert len(lines) == 4
+
+    @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1)],
+                             ids=["point", "interval"])
+    def test_connectivity_simply_connected(self, tmp_path, capsys, B):
+        self.passes(["--suite", "connectivity", "--simply-connected",
+                     self.write(tmp_path, "b.sset", format_sset(B))], capsys)
+
+    def test_connectivity_circle(self, circle_file, capsys):
+        self.passes(["--suite", "connectivity", circle_file], capsys)

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+import cwtower.factorization
 from cwtower import (
     Simplex,
     SimplexRef,
+    SimplicialSet,
     boundary_inclusion,
     boundary_simplex,
+    build_tower,
     cw_tower,
     enumerate_maps,
     format_smap,
@@ -26,6 +29,7 @@ from cwtower.textio import (
     parse_square,
     parse_sset,
     save_tower,
+    tower_files,
 )
 
 from util import SEED, random_one_dim_target, vertex_with_loop
@@ -245,3 +249,96 @@ class TestTowerDirectory:
         (tmp_path / "t" / "meta.txt").write_text(meta)
         with pytest.raises(ParseError, match=message):
             load_tower(tmp_path / "t")
+
+
+class TestReplay:
+    """A tower directory is loaded by running the construction again."""
+
+    @pytest.fixture
+    def circle_dir(self, tmp_path):
+        T = cw_tower(boundary_simplex(2), 2)
+        save_tower(T, tmp_path / "t")
+        return T, tmp_path / "t"
+
+    def test_load_equals_saved_tower(self, circle_dir, tmp_path):
+        T, path = circle_dir
+        assert load_tower(path) == T
+        C = cw_tower(boundary_simplex(2), 2, "cellular")
+        save_tower(C, tmp_path / "c")
+        assert load_tower(tmp_path / "c") == C
+
+    def test_upto_truncates(self, circle_dir):
+        T, path = circle_dir
+        for k in range(3):
+            Tk = load_tower(path, upto=k)
+            assert Tk.cap == k
+            assert Tk == build_tower(T.A, T.f, k)
+        for k in (-1, 3):
+            with pytest.raises(ParseError, match=f"stage {k} is out of range 0..2"):
+                load_tower(path, upto=k)
+
+    def test_manifest_is_the_square_lines(self, circle_dir):
+        T, path = circle_dir
+        files = dict(tower_files(T, T.cap))
+        for n in (1, 2):
+            assert files[f"squares_{n}.manifest"] == "".join(
+                format_square(sq) + "\n" for sq in T.squares[n])
+        for name, text in files.items():
+            assert (path / name).read_text() == text, name
+
+    def test_empty_stages_give_empty_manifests(self, tmp_path):
+        T = cw_tower(SimplicialSet.empty(), 2)
+        save_tower(T, tmp_path / "e")
+        for n in (1, 2):
+            assert (tmp_path / "e" / f"squares_{n}.manifest").read_text() == ""
+        assert load_tower(tmp_path / "e") == T
+
+    def test_unknown_variant_rejected(self, circle_dir):
+        _, path = circle_dir
+        (path / "meta.txt").write_text("tower v1\nvariant bogus\ncap 2\n")
+        with pytest.raises(ParseError, match="unknown variant 'bogus'"):
+            load_tower(path)
+
+    def test_stage_above_upto_not_read(self, circle_dir):
+        T, path = circle_dir
+        for name in ("stage_2.sset", "include_2.smap", "project_2.smap",
+                     "squares_2.manifest"):
+            (path / name).unlink()
+        assert load_tower(path, upto=1) == build_tower(T.A, T.f, 1)
+        with pytest.raises(ParseError, match="tower file stage_2.sset is missing"):
+            load_tower(path)
+
+    def test_missing_stage_refused_before_building(self, circle_dir, monkeypatch):
+        _, path = circle_dir
+        (path / "meta.txt").write_text("tower v1\nvariant all-maps\ncap 9\n")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a stage was built")
+
+        monkeypatch.setattr(cwtower.factorization, "build_tower", no_build)
+        with pytest.raises(ParseError, match="tower file stage_3.sset is missing"):
+            load_tower(path)
+
+    def test_non_utf8_stage_rejected(self, circle_dir):
+        _, path = circle_dir
+        text = (path / "stage_1.sset").read_bytes()
+        (path / "stage_1.sset").write_bytes(text.replace(b"point", b"p\xffint", 1))
+        with pytest.raises(ParseError, match="tower file stage_1.sset is not valid UTF-8"):
+            load_tower(path)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("stage_2.sset", lambda t: t.replace("faces (|1:0)", "faces (|1:1)", 1)),
+        ("include_1.smap", lambda t: t.replace("-> (|0:1)", "-> (|0:2)", 1)),
+        ("squares_2.manifest", lambda t: t[t.index("\n") + 1:]),
+        ("growth.csv", lambda t: t.replace("2,2,36,45", "2,2,36,46")),
+        ("input.sset", lambda t: "# comment\n" + t),
+        ("meta.txt", lambda t: t + "note hand-edited\n"),
+    ])
+    def test_edited_file_named(self, circle_dir, name, edit):
+        _, path = circle_dir
+        text = (path / name).read_text()
+        assert edit(text) != text
+        (path / name).write_text(edit(text))
+        with pytest.raises(ParseError,
+                           match=f"tower file {name} is not the replay of its inputs"):
+            load_tower(path)
