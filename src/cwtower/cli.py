@@ -7,14 +7,14 @@ Subcommands:
     homology   integral homology of a complex or of a built stage
 
 Exit codes: 0 pass, 1 check failure, 2 input error, 3 budget exceeded.
-The search budget of build and verify bounds the join steps of each
-build, over all of its stages.  It may be overridden with the
-CWTOWER_BUDGET environment variable; an explicit --budget flag wins.
-homology takes no budget flag.  On a tower directory, homology --stage k
-replays stages 0..k from the directory's inputs under the default budget
-(exit 3 if the replay exceeds it) and refuses (exit 2) a directory whose
-files for those stages differ from the replay; stage files above k are
-not read.
+The search budget bounds the join steps of each build, over all of its
+stages.  It may be overridden with the CWTOWER_BUDGET environment
+variable; an explicit --budget flag of build and verify wins.  homology
+takes no budget flag.  On a tower directory, homology --stage k replays
+stages 0..k from the directory's inputs under that budget (exit 3 if the
+replay exceeds it) and refuses (exit 2) a directory whose files for
+those stages differ from the replay, checking each stage before building
+the next; stage files above k are not read.
 """
 
 from __future__ import annotations
@@ -70,9 +70,10 @@ def _load_sset(path):
     return parse_sset(read_text(path))
 
 
-def _budget(args):
-    if args.budget is not None:
-        return args.budget
+def _budget(flag=None):
+    """The --budget value, else CWTOWER_BUDGET, else the default."""
+    if flag is not None:
+        return flag
     env = os.environ.get("CWTOWER_BUDGET")
     if not env:
         return DEFAULT_BUDGET
@@ -104,7 +105,7 @@ def cmd_build(args):
         raise ParseError(
             f"max-dim {args.max_dim} grows doubly-exponentially; pass an"
             " explicit --budget to allow it")
-    tower = build_tower(A, f, args.max_dim, args.variant, _budget(args))
+    tower = build_tower(A, f, args.max_dim, args.variant, _budget(args.budget))
     save_tower(tower, args.out)
     if args.dot:
         _write_dot(tower, args.out)
@@ -166,7 +167,7 @@ def _parse_family(text):
 
 
 def cmd_verify(args):
-    budget = _budget(args)
+    budget = _budget(args.budget)
     failures = 0
 
     def report(name, ok, detail=""):
@@ -260,7 +261,7 @@ def cmd_homology(args):
         stage = cap if args.stage is None else args.stage
         if not 0 <= stage <= cap:
             raise ParseError(f"--stage {stage} is out of range 0..{cap}")
-        X = load_tower(args.input, upto=stage).stages[stage]
+        X = load_tower(args.input, upto=stage, budget=_budget()).stages[stage]
     elif args.stage is not None:
         raise ParseError("--stage requires a tower directory input")
     else:

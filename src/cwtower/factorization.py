@@ -77,6 +77,15 @@ def build_tower(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
     stages together; exceeding it raises ``BudgetExceeded``.  Every
     square is cellular, so ``cellular`` builds the same tower and asserts it.
     """
+    for tower in tower_stages(A, f, cap, variant, budget):
+        pass
+    return tower
+
+
+def tower_stages(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
+                 budget=DEFAULT_BUDGET):
+    """``build_tower`` one stage at a time: yields the tower truncated at n
+    for n = 0..cap, building stage n only when it is asked for."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if cap < 0:
@@ -90,24 +99,24 @@ def build_tower(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
     A0, i0, p0 = stage_zero(A, f)
     stages, inclusions, projections, squares = [A0], [i0], [p0], [[]]
     steps = Budget(budget)
-    for n in range(1, cap + 1):
-        try:
-            sqs = enumerate_squares(n, projections[-1], steps)
-        except BudgetExceeded as e:
-            cells = stages[-1].total_generators - A.total_generators
-            raise BudgetExceeded(e.budget, e.used, e.unit,
-                                 f"stage {n}, {cells} cells built") from e
-        Xn, incl, pn = attach_cells(stages[-1], sqs, projections[-1])
-        stages.append(Xn)
-        inclusions.append(incl)
-        projections.append(pn)
-        squares.append(sqs)
-    if variant == "cellular":
-        for n, sqs in enumerate(squares):
-            if not all(is_cellular(sq.attach) for sq in sqs):
+    for n in range(cap + 1):
+        if n >= 1:
+            try:
+                sqs = enumerate_squares(n, projections[-1], steps)
+            except BudgetExceeded as e:
+                cells = stages[-1].total_generators - A.total_generators
+                raise BudgetExceeded(e.budget, e.used, e.unit,
+                                     f"stage {n}, {cells} cells built") from e
+            if variant == "cellular" and not all(is_cellular(sq.attach) for sq in sqs):
                 raise AssertionError(f"stage {n}: an attaching map is not cellular")
-    return Tower(A=A, B=f.cod, f=f, cap=cap, variant=variant, stages=stages,
-                 inclusions=inclusions, projections=projections, squares=squares)
+            Xn, incl, pn = attach_cells(stages[-1], sqs, projections[-1])
+            stages.append(Xn)
+            inclusions.append(incl)
+            projections.append(pn)
+            squares.append(sqs)
+        yield Tower(A=A, B=f.cod, f=f, cap=n, variant=variant, stages=list(stages),
+                    inclusions=list(inclusions), projections=list(projections),
+                    squares=list(squares))
 
 
 def cw_tower(B: SimplicialSet, cap, variant="all-maps", budget=DEFAULT_BUDGET) -> Tower:

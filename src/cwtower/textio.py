@@ -34,7 +34,7 @@ import re
 from functools import lru_cache
 
 from .core import Simplex, SimplexRef, SimplicialMap, SimplicialSet, validate
-from .homsearch import AttachmentSquare
+from .homsearch import DEFAULT_BUDGET, AttachmentSquare
 
 FORMAT_VERSION = "v1"
 
@@ -367,44 +367,45 @@ def parse_square(line, stage_prev, target, line_no=None) -> AttachmentSquare:
 # Tower directories
 # ---------------------------------------------------------------------------
 
-def tower_files(tower, upto):
-    """The files of a tower directory holding stages 0..upto, in write order.
-
-    Yields (name, text).  A stage's manifest is the labels of its new
-    cells, which ``attach_cells`` made with ``format_square``.
-    """
-    yield "meta.txt", _meta_text(tower.variant, upto)
-    yield "input.sset", format_sset(tower.A)
-    yield "target.sset", format_sset(tower.B)
-    yield "input_map.smap", format_smap(tower.f)
-    for n in range(upto + 1):
-        yield f"stage_{n}.sset", format_sset(tower.stages[n])
-        yield f"include_{n}.smap", format_smap(tower.inclusions[n])
-        yield f"project_{n}.smap", format_smap(tower.projections[n])
-        if n >= 1:
-            new = len(tower.squares[n])
-            labels = tower.stages[n].labels[n] if new else ()
-            # every label ends its line; no squares give an empty file
-            yield f"squares_{n}.manifest", "\n".join(
-                (*labels[len(labels) - new:], ""))
-    yield "growth.csv", growth_csv(tower, upto)
+def tower_files(tower):
+    """The files of a tower directory, in write order: yields (name, text)."""
+    yield from _input_files(tower.variant, tower.cap, tower.f)
+    for n in range(tower.cap + 1):
+        yield from _stage_files(tower, n)
+    yield "growth.csv", growth_csv(tower)
 
 
-def _meta_text(variant, cap):
-    return f"tower {FORMAT_VERSION}\nvariant {variant}\ncap {cap}\n"
+def _input_files(variant, cap, f):
+    yield "meta.txt", f"tower {FORMAT_VERSION}\nvariant {variant}\ncap {cap}\n"
+    yield "input.sset", format_sset(f.dom)
+    yield "target.sset", format_sset(f.cod)
+    yield "input_map.smap", format_smap(f)
+
+
+def _stage_files(tower, n):
+    """Stage n's files.  The manifest is the labels of the stage's new
+    cells, which ``attach_cells`` made with ``format_square``."""
+    yield f"stage_{n}.sset", format_sset(tower.stages[n])
+    yield f"include_{n}.smap", format_smap(tower.inclusions[n])
+    yield f"project_{n}.smap", format_smap(tower.projections[n])
+    if n >= 1:
+        new = len(tower.squares[n])
+        labels = tower.stages[n].labels[n] if new else ()
+        # every label ends its line; no squares give an empty file
+        yield f"squares_{n}.manifest", "\n".join((*labels[len(labels) - new:], ""))
 
 
 def save_tower(tower, path):
     """Serialize a tower to a directory (deterministic, bit-exact)."""
     os.makedirs(path, exist_ok=True)
-    for name, text in tower_files(tower, tower.cap):
+    for name, text in tower_files(tower):
         with open(os.path.join(path, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def growth_csv(tower, upto=None) -> str:
+def growth_csv(tower) -> str:
     rows = ["stage,dimension,new-cells,cumulative-generators"]
-    for n in range(tower.cap + 1 if upto is None else upto + 1):
+    for n in range(tower.cap + 1):
         if n == 0:
             new = tower.stages[0].count(0) - tower.A.count(0)
         else:
@@ -453,17 +454,17 @@ def tower_meta(path):
     return meta["variant"], cap
 
 
-def load_tower(path, upto=None):
+def load_tower(path, upto=None, budget=DEFAULT_BUDGET):
     """Load stages 0..upto (default: all) of a tower directory by replaying it.
 
     A tower is a function of its inputs, so only ``input.sset``,
     ``target.sset`` and ``input_map.smap`` are parsed.  The construction
-    is run again to stage ``upto`` under the default budget, and every
-    file it would write for those stages must equal the stored one byte
-    for byte; the first that differs is a ParseError.  Stage files above
-    ``upto`` are not read.  The tower returned has ``cap == upto``.
+    is run again under ``budget``, one stage at a time, and each stage's
+    files must equal the stored ones byte for byte before the next stage
+    is built; the first file that differs is a ParseError.  Stage files
+    above ``upto`` are not read.  The tower returned has ``cap == upto``.
     """
-    from .factorization import build_tower
+    from .factorization import tower_stages
 
     variant, cap = tower_meta(path)
     k = cap if upto is None else upto
@@ -481,17 +482,20 @@ def load_tower(path, upto=None):
     def read(name):
         return read_text(os.path.join(path, name), f"tower file {name}")
 
+    def check(files, prefix=False):
+        for name, text in files:
+            if not _stored_as(os.path.join(path, name), name, text, prefix):
+                raise ParseError(
+                    f"tower file {name} is not the replay of its inputs")
+
     A = parse_sset(read("input.sset"))
     B = parse_sset(read("target.sset"))
     f = parse_smap(read("input_map.smap"), A, B)
-    tower = build_tower(A, f, k, variant)
-    for name, text in tower_files(tower, k):
-        if name == "meta.txt":
-            text = _meta_text(variant, cap)
-        if not _stored_as(os.path.join(path, name), name, text,
-                          prefix=name == "growth.csv"):
-            raise ParseError(
-                f"tower file {name} is not the replay of its inputs")
+    check(_input_files(variant, cap, f))
+    for n, tower in enumerate(tower_stages(A, f, k, variant, budget)):
+        check(_stage_files(tower, n))
+    # the stored table goes on past k when k < cap
+    check([("growth.csv", growth_csv(tower))], prefix=k < cap)
     return tower
 
 

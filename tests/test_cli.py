@@ -364,8 +364,26 @@ class TestTamperedTower:
         def no_build(*args, **kwargs):
             raise AssertionError("a stage was built")
 
-        monkeypatch.setattr(cwtower.factorization, "build_tower", no_build)
+        monkeypatch.setattr(cwtower.factorization, "tower_stages", no_build)
         self.refused(circle_tower, capsys, "stage_3.sset is missing")
+
+    def test_replay_budget_from_env(self, point_file, tmp_path, capsys, monkeypatch):
+        # point cap 3 takes 492 join steps
+        t = tmp_path / "pt"
+        assert main(["build", point_file, "--out", str(t), "--max-dim", "3",
+                     "--budget", "492"]) == 0
+        capsys.readouterr()
+        assert main(["homology", str(t)]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setenv("CWTOWER_BUDGET", "492")
+        assert main(["homology", str(t)]) == 0
+        assert capsys.readouterr().out == expected
+        monkeypatch.setenv("CWTOWER_BUDGET", "491")
+        assert main(["homology", str(t)]) == 3
+        assert "stage 3, 10 cells built" in capsys.readouterr().err
+        monkeypatch.setenv("CWTOWER_BUDGET", "abc")
+        assert main(["homology", str(t)]) == 2
+        assert "CWTOWER_BUDGET" in one_error_line(capsys)
 
     def test_stages_above_the_request_not_read(self, circle_tower, capsys):
         assert main(["homology", str(circle_tower), "--stage", "1"]) == 0

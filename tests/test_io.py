@@ -6,6 +6,7 @@ import pytest
 
 import cwtower.factorization
 from cwtower import (
+    BudgetExceeded,
     Simplex,
     SimplexRef,
     SimplicialSet,
@@ -279,7 +280,7 @@ class TestReplay:
 
     def test_manifest_is_the_square_lines(self, circle_dir):
         T, path = circle_dir
-        files = dict(tower_files(T, T.cap))
+        files = dict(tower_files(T))
         for n in (1, 2):
             assert files[f"squares_{n}.manifest"] == "".join(
                 format_square(sq) + "\n" for sq in T.squares[n])
@@ -315,9 +316,38 @@ class TestReplay:
         def no_build(*args, **kwargs):
             raise AssertionError("a stage was built")
 
-        monkeypatch.setattr(cwtower.factorization, "build_tower", no_build)
+        monkeypatch.setattr(cwtower.factorization, "tower_stages", no_build)
         with pytest.raises(ParseError, match="tower file stage_3.sset is missing"):
             load_tower(path)
+
+    def test_empty_stage_stops_the_replay(self, circle_dir, monkeypatch):
+        _, path = circle_dir
+        (path / "meta.txt").write_text("tower v1\nvariant all-maps\ncap 4\n")
+        for n in range(5):
+            names = [f"stage_{n}.sset", f"include_{n}.smap", f"project_{n}.smap"]
+            for name in names + [f"squares_{n}.manifest"] * (n >= 1):
+                (path / name).write_text("")
+        built = []
+        stages = cwtower.factorization.tower_stages
+
+        def counted(*args, **kwargs):
+            for T in stages(*args, **kwargs):
+                built.append(T.cap)
+                yield T
+
+        monkeypatch.setattr(cwtower.factorization, "tower_stages", counted)
+        with pytest.raises(ParseError,
+                           match="tower file stage_0.sset is not the replay"):
+            load_tower(path)
+        assert built == [0]
+
+    def test_budget_bounds_the_replay(self, tmp_path):
+        T = cw_tower(standard_simplex(0), 3)
+        save_tower(T, tmp_path / "p")
+        # point cap 3 takes 492 join steps
+        assert load_tower(tmp_path / "p", budget=492) == T
+        with pytest.raises(BudgetExceeded, match="stage 3, 10 cells built"):
+            load_tower(tmp_path / "p", budget=491)
 
     def test_non_utf8_stage_rejected(self, circle_dir):
         _, path = circle_dir
@@ -331,6 +361,7 @@ class TestReplay:
         ("include_1.smap", lambda t: t.replace("-> (|0:1)", "-> (|0:2)", 1)),
         ("squares_2.manifest", lambda t: t[t.index("\n") + 1:]),
         ("growth.csv", lambda t: t.replace("2,2,36,45", "2,2,36,46")),
+        ("growth.csv", lambda t: t + "3,3,0,45\n"),
         ("input.sset", lambda t: "# comment\n" + t),
         ("meta.txt", lambda t: t + "note hand-edited\n"),
     ])
