@@ -6,11 +6,12 @@ Subcommands:
     verify     run a theorem suite and report one line per check
     homology   integral homology of a complex or of a built stage
 
-Exit codes: 0 pass, 1 check failure, 2 input error, 3 budget exceeded.
-The search budget bounds the join steps of each build, over all of its
-stages.  It may be overridden with the CWTOWER_BUDGET environment
-variable; an explicit --budget flag of build and verify wins.  homology
-takes no budget flag.  On a tower directory, homology --stage k replays
+Exit codes: 0 pass, 1 check failure, 2 input error (a malformed input,
+or an output that cannot be written), 3 budget exceeded.
+The search budget, a non-negative integer, bounds the join steps of each
+build, over all of its stages.  It may be overridden with the
+CWTOWER_BUDGET environment variable; an explicit --budget flag of build
+and verify wins.  homology takes no budget flag.  On a tower directory, homology --stage k replays
 stages 0..k from the directory's inputs under that budget (exit 3 if the
 replay exceeds it) and refuses (exit 2) a directory whose files for
 those stages differ from the replay, checking each stage before building
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from .core import (
     SimplexRef,
@@ -71,16 +73,31 @@ def _load_sset(path):
 
 
 def _budget(flag=None):
-    """The --budget value, else CWTOWER_BUDGET, else the default."""
+    """The --budget value, else CWTOWER_BUDGET, else the default; never negative."""
     if flag is not None:
+        if flag < 0:
+            raise ParseError(f"--budget must be a non-negative integer, got {flag}")
         return flag
     env = os.environ.get("CWTOWER_BUDGET")
     if not env:
         return DEFAULT_BUDGET
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
-        raise ParseError(f"CWTOWER_BUDGET must be an integer, got {env!r}") from None
+        value = -1
+    if value < 0:
+        raise ParseError(
+            f"CWTOWER_BUDGET must be a non-negative integer, got {env!r}")
+    return value
+
+
+@contextmanager
+def _writing(path):
+    """Report an output under ``path`` that cannot be written as an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
 
 
 def _emit(line):
@@ -106,9 +123,10 @@ def cmd_build(args):
             f"max-dim {args.max_dim} grows doubly-exponentially; pass an"
             " explicit --budget to allow it")
     tower = build_tower(A, f, args.max_dim, args.variant, _budget(args.budget))
-    save_tower(tower, args.out)
-    if args.dot:
-        _write_dot(tower, args.out)
+    with _writing(args.out):
+        save_tower(tower, args.out)
+        if args.dot:
+            _write_dot(tower, args.out)
     for line in growth_csv(tower).splitlines():
         _emit(line)
     return EXIT_OK
@@ -277,7 +295,7 @@ def cmd_homology(args):
         rows.append((H.dim, H.betti, torsion))
         _emit(f"degree={H.dim} betti={H.betti} torsion=[{torsion}] group={H}")
     if args.csv:
-        with open(args.csv, "w") as fh:
+        with _writing(args.csv), open(args.csv, "w") as fh:
             fh.write("degree,betti,torsion\n")
             for i, b, t in rows:
                 fh.write(f"{i},{b},{t}\n")

@@ -3,7 +3,8 @@
 ``attach_cells`` glues one new nondegenerate n-generator per attaching
 square, appended after the existing generators in list order, so the
 construction is deterministic and stage subsets are literal index
-ranges.
+ranges.  It works on the squares' ranks in the ``SquareTable`` of
+(n, p): the commutativity check, the new faces and the labels.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from .core import (
     SimplicialMap,
     SimplicialSet,
     ValidationError,
-    boundary_inclusion,
     disjoint_union,
     identity_map,
+    standard_simplex,
 )
-from .textio import format_square, simplex_formatter
+from .homsearch import SquareTable
+from .textio import square_text
 
 
 def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
@@ -26,37 +28,50 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
 
     Returns (X2, incl, p2) where incl: X -> X2 is a subset inclusion and
     p2 restricts to p on X and maps each new cell by its square's disk.
-    Every square is checked to commute exactly over p.
+    Every square is ranked against the table of (n, p) and checked to
+    commute exactly on ranks: p sends the attaching map's image of each
+    boundary generator to the disk's image of it.  A square that cannot
+    be ranked against X and p is rejected.
     """
     squares = list(squares)
     if not squares:
         return X, identity_map(X), p
     n = squares[0].n
-    incl_n = boundary_inclusion(n)
-    image = {}
+    if p.dom != X:
+        raise ValidationError("attach_cells: the projection does not start at X")
+    table = SquareTable.over(n, p, squares)
+    p_a = table.p_a
+    ranked = []
     for k, sq in enumerate(squares):
         if sq.n != n:
             raise ValidationError(
                 f"square {k} has dimension {sq.n}, expected {n}")
-        if sq.attach.cod != X:
+        r = sq.ranks(table)
+        if r is None and sq.attach.cod != X:
             raise ValidationError(f"square {k}: attaching map does not land in X")
-        if not _commutes(sq, p, incl_n, image):
+        if r is None or any(tuple(map(p_a[d].__getitem__, r[0][d])) != r[1][d]
+                            for d in range(n)):
             raise ValidationError(f"square {k}: attaching square does not commute")
+        ranked.append(r)
 
     ndims = max(len(X.counts), n + 1)
     counts = [X.count(d) for d in range(ndims)]
     faces = [list(X.faces[d]) if d < len(X.counts) else [] for d in range(ndims)]
     labels = [list(X.labels[d]) if d < len(X.counts) else [] for d in range(ndims)]
-    top = Simplex((), SimplexRef(n, 0))  # top generator of Delta^n
-    token = simplex_formatter()  # the squares share their simplices
-    for sq in squares:
-        # faces of Delta^n's top generator are the boundary generators,
-        # with the same indexing in the boundary complex
-        fs = tuple(sq.attach.assign[n - 1][sq.disk.dom.face_of_generator(top.gen, i).gen.index]
-                   for i in range(n + 1))
-        faces[n].append(fs)
-        labels[n].append(format_square(sq, token))
-        counts[n] += 1
+    # order[i]: the boundary generator that is face i of Delta^n's top generator
+    top = SimplexRef(n, 0)
+    order = [standard_simplex(n).face_of_generator(top, i).gen.index for i in range(n + 1)]
+    cand, tok_a, tok_b = table.cand_a[n - 1], table.tokens_a, table.tokens_b
+    last = None
+    for rows, disk_rows in ranked:
+        if rows is not last:  # the squares of one attaching map come together
+            last = rows
+            edge = rows[n - 1]
+            attach = [tok_a[d][x] for d, row in enumerate(rows) for x in row]
+        faces[n].append(tuple(cand[edge[j]] for j in order))
+        labels[n].append(square_text(
+            n, attach, [tok_b[d][y] for d, row in enumerate(disk_rows) for y in row]))
+    counts[n] += len(ranked)
     X2 = SimplicialSet(tuple(counts), tuple(tuple(r) for r in faces),
                        tuple(tuple(r) for r in labels))
 
@@ -64,29 +79,9 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
         tuple(Simplex((), SimplexRef(d, g)) for g in range(X.counts[d]))
         for d in range(len(X.counts))))
     p_assign = [list(p.assign[d]) if d < len(p.assign) else [] for d in range(ndims)]
-    for sq in squares:
-        p_assign[n].append(sq.disk.assign[n][0])
+    p_assign[n].extend(table.cand_b[n][disk_rows[n][0]] for _, disk_rows in ranked)
     p2 = SimplicialMap(X2, p.cod, tuple(tuple(r) for r in p_assign))
     return X2, incl, p2
-
-
-def _commutes(sq, p, incl_n, image):
-    """p . attach == disk . incl_n, compared generator by generator.
-
-    incl_n is the identity on generator indices, so the right side sends
-    a boundary generator g to disk[g].  ``image`` memoises p.
-    """
-    a, d = sq.attach, sq.disk
-    if a.dom != incl_n.dom or d.dom != incl_n.cod or a.cod != p.dom or d.cod != p.cod:
-        return False
-    for ra, rd in zip(a.assign, d.assign):
-        for s, t in zip(ra, rd):
-            ps = image.get(s)
-            if ps is None:
-                ps = image[s] = p(s)
-            if ps != t:
-                return False
-    return True
 
 
 def stage_zero(A: SimplicialSet, f: SimplicialMap):

@@ -24,7 +24,13 @@ from .core import (
     subcomplex,
     subset_witness,
 )
-from .homsearch import DEFAULT_BUDGET, Budget, BudgetExceeded, enumerate_squares
+from .homsearch import (
+    DEFAULT_BUDGET,
+    Budget,
+    BudgetExceeded,
+    SquareTable,
+    enumerate_squares,
+)
 from .colimits import attach_cells, stage_zero
 
 VARIANTS = ("all-maps", "cellular")
@@ -144,7 +150,11 @@ def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -
 
     Stage 0 carries the vertex indexed by a vertex b of B to the vertex
     indexed by g(b); stage n carries the cell of a square (attach, disk)
-    to the cell of (f_{n-1} . attach, g . disk).
+    to the cell of (f_{n-1} . attach, g . disk).  Squares are matched on
+    ranks: each candidate simplex of the source table is mapped once,
+    through f_{n-1} or g, to its rank in the target table, and a square's
+    image is its rows read through those lists.  ``_check_tower_map``
+    then checks the result exactly.
     """
     if T.variant != Tp.variant:
         raise ValidationError("towers were built with different variants")
@@ -170,24 +180,42 @@ def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -
 
     for n in range(1, cap + 1):
         prev = stage_maps[-1]
-        index_of = {(sq.n, sq.attach.assign, sq.disk.assign): i
-                    for i, sq in enumerate(Tp.squares[n])}
-        base_p = Tp.stages[n - 1].count(n)
         table = [list(prev.assign[d]) if d < len(prev.assign) else []
                  for d in range(len(T.stages[n].counts))]
-        for sq in T.squares[n]:
-            key = (n, compose(prev, sq.attach).assign, compose(g, sq.disk).assign)
-            if key not in index_of:
-                raise ValidationError(
-                    f"stage {n}: image square not found in target tower"
-                    " (towers are inconsistent)")
-            table[n].append(Simplex((), SimplexRef(n, base_p + index_of[key])))
+        if T.squares[n]:
+            table[n].extend(_square_images(n, prev, g, T, Tp))
         stage_maps.append(SimplicialMap(T.stages[n], Tp.stages[n],
                                         tuple(tuple(r) for r in table)))
 
     tm = TowerMap(source=T, target=Tp, f=f, g=g, stage_maps=stage_maps)
     _check_tower_map(tm, cap)
     return tm
+
+
+def _square_images(n, prev, g, T: Tower, Tp: Tower):
+    """The cells of Tp's stage n that T's stage-n cells go to, by square ranks."""
+    src = SquareTable.over(n, T.projections[n - 1], T.squares[n])
+    tgt = SquareTable.over(n, Tp.projections[n - 1], Tp.squares[n])
+    index_of = {sq.ranks(tgt): i for i, sq in enumerate(Tp.squares[n])}
+    # each candidate's image rank, through prev on the stage and g on B
+    try:
+        img_a = [[tgt.rank_a[d][prev(s)] for s in c] for d, c in enumerate(src.cand_a)]
+        img_b = [[tgt.rank_b[d][g(s)] for s in c] for d, c in enumerate(src.cand_b)]
+    except KeyError:
+        raise ValidationError(f"stage {n}: a stage map leaves its target") from None
+    base_p = Tp.stages[n - 1].count(n)
+    out = []
+    for sq in T.squares[n]:
+        ranks = sq.ranks(src)
+        i = None if ranks is None else index_of.get((
+            tuple(tuple(map(img_a[d].__getitem__, row)) for d, row in enumerate(ranks[0])),
+            tuple(tuple(map(img_b[d].__getitem__, row)) for d, row in enumerate(ranks[1]))))
+        if i is None:
+            raise ValidationError(
+                f"stage {n}: image square not found in target tower"
+                " (towers are inconsistent)")
+        out.append(Simplex((), SimplexRef(n, base_p + i)))
+    return out
 
 
 def _check_tower_map(tm: TowerMap, cap):

@@ -312,25 +312,20 @@ def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
         raise ParseError(str(e))
 
 
-def format_assignments(f: SimplicialMap, token=None) -> str:
-    """Flat one-line assignment list, generators in canonical order.
-
-    ``token`` formats one simplex; by default a ``simplex_formatter()``
-    of this call.
-    """
-    token = token or simplex_formatter()
-    return " ".join([token(s) for row in f.assign for s in row])
-
-
 # ---------------------------------------------------------------------------
 # Attaching squares
 # ---------------------------------------------------------------------------
 
-def format_square(sq: AttachmentSquare, token=None) -> str:
-    token = token or simplex_formatter()
-    return (f"square n={sq.n}"
-            f" attach[{format_assignments(sq.attach, token)}]"
-            f" disk[{format_assignments(sq.disk, token)}]")
+def format_square(sq: AttachmentSquare) -> str:
+    token = simplex_formatter()
+    return square_text(sq.n, [token(s) for row in sq.attach.assign for s in row],
+                       [token(s) for row in sq.disk.assign for s in row])
+
+
+def square_text(n, attach_tokens, disk_tokens) -> str:
+    """The one line of a square, from the tokens of its attaching map and
+    disk in generator order; also the label of the square's cell."""
+    return f"square n={n} attach[{' '.join(attach_tokens)}] disk[{' '.join(disk_tokens)}]"
 
 
 _SQUARE_RE = re.compile(r"^square n=(\d+) attach\[(.*)\] disk\[(.*)\]$")
@@ -384,7 +379,7 @@ def _input_files(variant, cap, f):
 
 def _stage_files(tower, n):
     """Stage n's files.  The manifest is the labels of the stage's new
-    cells, which ``attach_cells`` made with ``format_square``."""
+    cells, which ``attach_cells`` made with ``square_text``."""
     yield f"stage_{n}.sset", format_sset(tower.stages[n])
     yield f"include_{n}.smap", format_smap(tower.inclusions[n])
     yield f"project_{n}.smap", format_smap(tower.projections[n])

@@ -127,6 +127,35 @@ class TestBuild:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "CWTOWER_BUDGET" in err
 
+    @pytest.mark.parametrize("out", ["point.sset/x", "point.sset"],
+                             ids=["under-a-file", "onto-a-file"])
+    def test_unwritable_out_exit_2(self, point_file, capsys, out):
+        out = os.path.join(os.path.dirname(point_file), out)
+        assert main(["build", point_file, "--out", out]) == 2
+        assert "cannot write" in one_error_line(capsys)
+
+    def test_unwritable_dot_exit_2(self, point_file, tmp_path, capsys, monkeypatch):
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr("cwtower.cli.open", refuse, raising=False)
+        out = tmp_path / "t"
+        assert main(["build", point_file, "--out", str(out), "--dot"]) == 2
+        assert "skeleton.dot: Permission denied" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("flag", [["--budget", "-5"], []], ids=["flag", "env"])
+    def test_negative_budget_exit_2(self, point_file, tmp_path, capsys, monkeypatch,
+                                    flag):
+        monkeypatch.setenv("CWTOWER_BUDGET", "-5")
+        assert main(["build", point_file, "--out", str(tmp_path / "t")] + flag) == 2
+        assert "must be a non-negative integer" in one_error_line(capsys)
+        assert not (tmp_path / "t").exists()
+
+    def test_zero_budget_stops_at_the_first_step(self, point_file, tmp_path, capsys):
+        assert main(["build", point_file, "--out", str(tmp_path / "t"),
+                     "--budget", "0"]) == 3
+        assert "budget of 0 join steps exceeded: 1 used" in capsys.readouterr().err
+
     def test_budget_bounds_the_whole_build(self, point_file, tmp_path, capsys):
         T = cw_tower(standard_simplex(0), 3)
         steps = []
@@ -243,6 +272,12 @@ class TestHomology:
         assert main(["homology", circle_file, "--csv", str(csv)]) == 0
         assert csv.read_text().splitlines() == [
             "degree,betti,torsion", "0,1,", "1,1,"]
+
+    def test_unwritable_csv_exit_2(self, circle_file, tmp_path, capsys):
+        csv = tmp_path / "missing" / "h.csv"
+        assert main(["homology", circle_file, "--csv", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {csv}: No such file or directory\n"
 
     @pytest.mark.parametrize("body", ["dims \u00b2\n",
                                       "dims 1\ndim 0 count \u00b2\n",

@@ -22,7 +22,7 @@ from cwtower import (
 )
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion
 
-from util import vertex_with_loop
+from util import oracle_enumerate_squares, vertex_with_loop
 
 
 def point_projection(X):
@@ -95,6 +95,39 @@ class TestAttachCells:
         assert not square_commutes(bad, p)
         with pytest.raises(ValidationError, match="does not commute"):
             attach_cells(T.stages[0], good[:1] + [bad], p)
+
+
+    @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
+                                   boundary_simplex(2), standard_simplex(2)],
+                             ids=["point", "interval", "circle", "disk"])
+    def test_map_built_squares_glue_like_ranked_ones(self, B):
+        # squares holding only their maps are ranked against the table of
+        # (n, p) inside attach_cells and give the same stage
+        T = cw_tower(B, 3)
+        for n in range(1, 4):
+            X, p = T.stages[n - 1], T.projections[n - 1]
+            oracle = oracle_enumerate_squares(n, p)
+            assert all(sq.table is None for sq in oracle)
+            got = attach_cells(X, oracle, p)
+            assert got == attach_cells(X, T.squares[n], p), f"stage {n}"
+            assert got == (T.stages[n], T.inclusions[n], T.projections[n])
+
+    def test_ranked_square_with_another_disk_rejected(self):
+        T = cw_tower(boundary_simplex(2), 1)
+        p = T.projections[0]
+        good = T.squares[1]
+        assert good[0].table is good[-1].table
+        bad = AttachmentSquare.of_ranks(good[0].table, good[0].rows, good[-1].disk_rows)
+        assert not square_commutes(bad, p)
+        with pytest.raises(ValidationError, match="square 1: attaching square does not commute"):
+            attach_cells(T.stages[0], good[:1] + [bad], p)
+
+    def test_square_outside_the_stage_rejected(self):
+        # a square of the circle's stage 1 cannot be ranked over the point's
+        T = cw_tower(boundary_simplex(2), 1)
+        P = cw_tower(standard_simplex(0), 1)
+        with pytest.raises(ValidationError, match="does not land in X"):
+            attach_cells(P.stages[0], T.squares[1][:1], P.projections[0])
 
 
 class TestStageZero:

@@ -25,6 +25,8 @@ from cwtower import (
 from cwtower.core import Simplex, SimplexRef, SimplicialMap
 from cwtower.factorization import is_cellular
 
+from util import oracle_induced_stage_maps
+
 R = SimplexRef
 EDGE01 = {R(0, 0), R(0, 1), R(1, 0)}
 EDGE02 = {R(0, 0), R(0, 2), R(1, 1)}
@@ -183,6 +185,20 @@ class TestFunctorLaws:
         tm = induced_tower_map(identity_map(pt), g, T, Tp)
         assert compose(Tp.projections[1], tm.stage_maps[1]) == \
             compose(g, T.projections[1])
+
+    def test_stage_maps_match_compose_keyed_oracle(self):
+        e = empty_map(SimplicialSet.empty())
+        cases = [(e, g, cw_tower(g.dom, 2), cw_tower(g.cod, 2)) for g in self.corpus()]
+        vertex, incl_v = subcomplex(standard_simplex(1), {R(0, 0)})
+        cases.append((e, incl_v, cw_tower(vertex, 3), cw_tower(standard_simplex(1), 3)))
+        # A = Delta^1 has a 1-generator, so stage 1 keeps cells below the new ones
+        D1 = standard_simplex(1)
+        collapse = collapse_to_point(D1)
+        cases.append((identity_map(D1), collapse, build_tower(D1, identity_map(D1), 2),
+                      build_tower(D1, collapse, 2)))
+        for f, g, T, Tp in cases:
+            tm = induced_tower_map(f, g, T, Tp)
+            assert tm.stage_maps == oracle_induced_stage_maps(f, g, T, Tp)
 
     def test_variant_mismatch_rejected(self):
         B = standard_simplex(0)

@@ -17,7 +17,7 @@ from cwtower import (
     subcomplex,
 )
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, face_closure_errors
-from cwtower.homsearch import Budget, BudgetExceeded, simplex_candidates
+from cwtower.homsearch import AttachmentSquare, Budget, BudgetExceeded, simplex_candidates
 
 from util import (
     SEED,
@@ -163,6 +163,21 @@ class TestEnumerateSquares:
         rng = random.Random(SEED)
         for _ in range(40):
             assert_squares_match_oracle(random_one_dim_target(rng), 2)
+
+    def test_ranked_squares_compare_as_their_maps(self):
+        # over the vertex with a loop, the constant attaching map of one
+        # vertex bounds two disks: the degenerate edge and the loop
+        X = standard_simplex(0)
+        p = SimplicialMap(X, vertex_with_loop(), ((Simplex((), SimplexRef(0, 0)),),))
+        squares = enumerate_squares(1, p)
+        assert len(squares) == 2 and squares[0].rows == squares[1].rows
+        assert squares[0] != squares[1]
+        for sq, again in zip(squares, enumerate_squares(1, p)):
+            as_maps = AttachmentSquare(1, sq.attach, sq.disk)
+            assert as_maps.table is None and sq.table is not again.table
+            assert sq == again == as_maps
+            assert hash(sq) == hash(again) == hash(as_maps)
+            assert square_commutes(sq, p)
 
     def test_join_steps_charged_to_shared_budget(self):
         X = vertex_with_loop()

@@ -168,6 +168,10 @@ GOLDEN_CAP3_CELLULAR_CIRCLE = (
     "0ba1162ad69a7d291d7c5381e4cf3fd36be4f97b978d8d65412ab796f1d19e37")
 
 
+# the point cap-4 directory (57,629 stage-4 cells), as written when squares
+# held SimplicialMaps and labels came from format_square
+GOLDEN_CAP4_POINT = "c345760f734ce4254394818559548b5433d7e01b202a7eebb615a0cb3c9185fe"
+
 def tree_sha256(root):
     """sha256 over the sorted relative paths and bytes of a directory."""
     h = hashlib.sha256()
@@ -194,6 +198,10 @@ class TestTowerDirectory:
     def test_golden_digest_cap_3_cellular(self, tmp_path):
         save_tower(cw_tower(boundary_simplex(2), 3, "cellular"), tmp_path / "c")
         assert tree_sha256(tmp_path / "c") == GOLDEN_CAP3_CELLULAR_CIRCLE
+
+    def test_golden_digest_point_cap_4(self, tmp_path):
+        save_tower(cw_tower(standard_simplex(0), 4, budget=10**9), tmp_path / "p4")
+        assert tree_sha256(tmp_path / "p4") == GOLDEN_CAP4_POINT
 
     def test_save_load_round_trip(self, tmp_path):
         T = cw_tower(boundary_simplex(2), 2)

@@ -58,6 +58,33 @@ def oracle_enumerate_squares(n, p_prev):
             for d in by_restriction.get(compose(p_prev, a), ())]
 
 
+def oracle_induced_stage_maps(f, g, T, Tp):
+    """The stage maps of ``induced_tower_map``, squares keyed by composite maps.
+
+    Independent of the rank tables: the cell of a square (attach, disk)
+    of T goes to the cell of the square (f_{n-1} . attach, g . disk) of
+    Tp, found by comparing assignment tables.
+    """
+    ap = Tp.A.count(0)
+    assign0 = (f.assign[0] if f.assign else ()) + tuple(
+        Simplex((), SimplexRef(0, ap + g.assign[0][b].gen.index))
+        for b in range(T.B.count(0)))
+    stage_maps = [SimplicialMap(T.stages[0], Tp.stages[0], tuple(
+        assign0 if d == 0 else f.assign[d] for d in range(len(T.stages[0].counts))))]
+    for n in range(1, min(T.cap, Tp.cap) + 1):
+        prev = stage_maps[-1]
+        index_of = {(sq.attach.assign, sq.disk.assign): i
+                    for i, sq in enumerate(Tp.squares[n])}
+        table = [list(prev.assign[d]) if d < len(prev.assign) else []
+                 for d in range(len(T.stages[n].counts))]
+        base = Tp.stages[n - 1].count(n)
+        for sq in T.squares[n]:
+            key = (compose(prev, sq.attach).assign, compose(g, sq.disk).assign)
+            table[n].append(Simplex((), SimplexRef(n, base + index_of[key])))
+        stage_maps.append(SimplicialMap(T.stages[n], Tp.stages[n], tuple(map(tuple, table))))
+    return stage_maps
+
+
 def random_one_dim_target(rng, max_gens=4):
     """A random well-formed complex with vertices and edges only."""
     nv = rng.randint(1, max(1, max_gens - 1))
