@@ -24,6 +24,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from .core import (
     SimplexRef,
@@ -202,7 +203,7 @@ def cmd_verify(args):
         tower = cw_tower(B, args.max_dim, "all-maps", budget)
         same = True
         for n in range(args.max_dim + 1):
-            same = same and all(is_cellular(sq.attach) for sq in tower.squares[n])
+            same = same and all(is_cellular(sq) for sq in tower.squares[n])
             report(f"variant-coincidence stage={n}", same)
 
     elif args.suite == "connectivity":
@@ -306,7 +307,9 @@ def cmd_homology(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@cache
 def make_parser():
+    """The argument parser, built once per process: parsing does not change it."""
     ap = argparse.ArgumentParser(prog="cwtower", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -3,8 +3,9 @@
 ``attach_cells`` glues one new nondegenerate n-generator per attaching
 square, appended after the existing generators in list order, so the
 construction is deterministic and stage subsets are literal index
-ranges.  It works on the squares' ranks in the ``SquareTable`` of
-(n, p): the commutativity check, the new faces and the labels.
+ranges.  It works on each square as its facets and its disk, ranks in
+the ``SquareTable`` of (n, p): the commutativity check, the new faces
+and the labels.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .core import (
     ValidationError,
     disjoint_union,
     identity_map,
-    standard_simplex,
 )
 from .homsearch import SquareTable
 from .textio import square_text
@@ -28,10 +28,12 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
 
     Returns (X2, incl, p2) where incl: X -> X2 is a subset inclusion and
     p2 restricts to p on X and maps each new cell by its square's disk.
-    Every square is ranked against the table of (n, p) and checked to
-    commute exactly on ranks: p sends the attaching map's image of each
-    boundary generator to the disk's image of it.  A square that cannot
-    be ranked against X and p is rejected.
+    Every square is reduced to its facets (x_0 .. x_n) and its disk b in
+    the table of (n, p); a square built from maps qualifies only if its
+    maps are exactly the maps of those ranks, and a square that does not
+    is rejected.  Each is then checked to commute on ranks, which is the
+    one condition its ranks do not give by construction: the faces of b
+    are p(x_0) .. p(x_n).  The new cell's faces are x_0 .. x_n.
     """
     squares = list(squares)
     if not squares:
@@ -40,8 +42,9 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     if p.dom != X:
         raise ValidationError("attach_cells: the projection does not start at X")
     table = SquareTable.over(n, p, squares)
-    p_a = table.p_a
+    faces_b, p_top = table.faces_b[n], table.p_top
     ranked = []
+    last = None
     for k, sq in enumerate(squares):
         if sq.n != n:
             raise ValidationError(
@@ -49,8 +52,10 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
         r = sq.ranks(table)
         if r is None and sq.attach.cod != X:
             raise ValidationError(f"square {k}: attaching map does not land in X")
-        if r is None or any(tuple(map(p_a[d].__getitem__, r[0][d])) != r[1][d]
-                            for d in range(n)):
+        if r is not None and r[0] is not last:  # one attaching map's squares come together
+            last = r[0]
+            below = tuple(map(p_top.__getitem__, last))
+        if r is None or faces_b[r[1]] != below:
             raise ValidationError(f"square {k}: attaching square does not commute")
         ranked.append(r)
 
@@ -58,19 +63,16 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     counts = [X.count(d) for d in range(ndims)]
     faces = [list(X.faces[d]) if d < len(X.counts) else [] for d in range(ndims)]
     labels = [list(X.labels[d]) if d < len(X.counts) else [] for d in range(ndims)]
-    # order[i]: the boundary generator that is face i of Delta^n's top generator
-    top = SimplexRef(n, 0)
-    order = [standard_simplex(n).face_of_generator(top, i).gen.index for i in range(n + 1)]
-    cand, tok_a, tok_b = table.cand_a[n - 1], table.tokens_a, table.tokens_b
+    cand, disk_text = table.cand_a[n - 1], table.disk_text
     last = None
-    for rows, disk_rows in ranked:
-        if rows is not last:  # the squares of one attaching map come together
-            last = rows
-            edge = rows[n - 1]
-            attach = [tok_a[d][x] for d, row in enumerate(rows) for x in row]
-        faces[n].append(tuple(cand[edge[j]] for j in order))
-        labels[n].append(square_text(
-            n, attach, [tok_b[d][y] for d, row in enumerate(disk_rows) for y in row]))
+    for facets, top in ranked:
+        if facets is not last:
+            last = facets
+            # facet j is the image of d_j, so it is face j of the new cell
+            cell = tuple(map(cand.__getitem__, facets))
+            attach = table.attach_text(facets)
+        faces[n].append(cell)
+        labels[n].append(square_text(n, attach, disk_text[top]))
     counts[n] += len(ranked)
     X2 = SimplicialSet(tuple(counts), tuple(tuple(r) for r in faces),
                        tuple(tuple(r) for r in labels))
@@ -79,7 +81,7 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
         tuple(Simplex((), SimplexRef(d, g)) for g in range(X.counts[d]))
         for d in range(len(X.counts))))
     p_assign = [list(p.assign[d]) if d < len(p.assign) else [] for d in range(ndims)]
-    p_assign[n].extend(table.cand_b[n][disk_rows[n][0]] for _, disk_rows in ranked)
+    p_assign[n].extend(table.cand_b[n][top] for _, top in ranked)
     p2 = SimplicialMap(X2, p.cod, tuple(tuple(r) for r in p_assign))
     return X2, incl, p2
 

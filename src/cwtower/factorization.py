@@ -18,14 +18,18 @@ from .core import (
     SimplicialSet,
     ValidationError,
     compose,
+    degenerate,
     empty_map,
+    face,
     identity_map,
     map_errors,
+    simplex_errors,
     subcomplex,
     subset_witness,
 )
 from .homsearch import (
     DEFAULT_BUDGET,
+    AttachmentSquare,
     Budget,
     BudgetExceeded,
     SquareTable,
@@ -61,13 +65,20 @@ class Tower:
         return self.stages[self.cap]
 
 
-def is_cellular(f: SimplicialMap) -> bool:
+def is_cellular(f) -> bool:
     """True iff f carries each k-skeleton into the k-skeleton.
 
     In the simplicial model the image of a k-generator has total
     dimension k, so this holds for every simplicial map; the check is
-    kept executable so the variant coincidence is observable.
+    kept executable so the variant coincidence is observable.  ``f`` is a
+    simplicial map or an attaching square, which stands for its attaching
+    map; a square of a ``SquareTable`` is read off the dimensions of the
+    table's candidates, without building its map.
     """
+    if isinstance(f, AttachmentSquare):
+        if f.table is not None:
+            return f.table.cellular
+        f = f.attach
     for d in range(len(f.dom.counts)):
         for g in range(f.dom.counts[d]):
             if f.assign[d][g].gen.dim > d:
@@ -113,7 +124,7 @@ def tower_stages(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
                 cells = stages[-1].total_generators - A.total_generators
                 raise BudgetExceeded(e.budget, e.used, e.unit,
                                      f"stage {n}, {cells} cells built") from e
-            if variant == "cellular" and not all(is_cellular(sq.attach) for sq in sqs):
+            if variant == "cellular" and not all(is_cellular(sq) for sq in sqs):
                 raise AssertionError(f"stage {n}: an attaching map is not cellular")
             Xn, incl, pn = attach_cells(stages[-1], sqs, projections[-1])
             stages.append(Xn)
@@ -150,16 +161,21 @@ def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -
 
     Stage 0 carries the vertex indexed by a vertex b of B to the vertex
     indexed by g(b); stage n carries the cell of a square (attach, disk)
-    to the cell of (f_{n-1} . attach, g . disk).  Squares are matched on
-    ranks: each candidate simplex of the source table is mapped once,
-    through f_{n-1} or g, to its rank in the target table, and a square's
-    image is its rows read through those lists.  ``_check_tower_map``
-    then checks the result exactly.
+    to the cell of (f_{n-1} . attach, g . disk).  A square is its facets
+    and its disk, so squares are matched on those ranks: each
+    (n-1)-candidate of the source table is mapped once through f_{n-1},
+    and each n-simplex of B once through g, to its rank in the target
+    table, and the image of the square (x_0 .. x_n; b) is the target
+    square (f_{n-1} x_0 .. f_{n-1} x_n; g b).  ``_check_tower_map`` then
+    checks the result exactly, cell by cell.
     """
     if T.variant != Tp.variant:
         raise ValidationError("towers were built with different variants")
     if f.dom != T.A or f.cod != Tp.A or g.dom != T.B or g.cod != Tp.B:
         raise ValidationError("square does not connect the two towers")
+    errs = map_errors(f) + map_errors(g)
+    if errs:
+        raise ValidationError("invalid square map: " + "; ".join(errs[:4]))
     if compose(g, T.f) != compose(Tp.f, f):
         raise ValidationError("square (f, g) does not commute with the tower maps")
     cap = min(T.cap, Tp.cap)
@@ -193,23 +209,22 @@ def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -
 
 
 def _square_images(n, prev, g, T: Tower, Tp: Tower):
-    """The cells of Tp's stage n that T's stage-n cells go to, by square ranks."""
+    """The cells of Tp's stage n that T's stage-n cells go to, by facets and disk."""
     src = SquareTable.over(n, T.projections[n - 1], T.squares[n])
     tgt = SquareTable.over(n, Tp.projections[n - 1], Tp.squares[n])
     index_of = {sq.ranks(tgt): i for i, sq in enumerate(Tp.squares[n])}
-    # each candidate's image rank, through prev on the stage and g on B
+    # each candidate's image rank: the facets through prev, the disks through g
     try:
-        img_a = [[tgt.rank_a[d][prev(s)] for s in c] for d, c in enumerate(src.cand_a)]
-        img_b = [[tgt.rank_b[d][g(s)] for s in c] for d, c in enumerate(src.cand_b)]
+        img_a = [tgt.rank_a[n - 1][prev(s)] for s in src.cand_a[n - 1]]
+        img_b = [tgt.rank_b[n][g(s)] for s in src.cand_b[n]]
     except KeyError:
         raise ValidationError(f"stage {n}: a stage map leaves its target") from None
     base_p = Tp.stages[n - 1].count(n)
     out = []
     for sq in T.squares[n]:
         ranks = sq.ranks(src)
-        i = None if ranks is None else index_of.get((
-            tuple(tuple(map(img_a[d].__getitem__, row)) for d, row in enumerate(ranks[0])),
-            tuple(tuple(map(img_b[d].__getitem__, row)) for d, row in enumerate(ranks[1]))))
+        i = None if ranks is None else index_of.get(
+            (tuple(map(img_a.__getitem__, ranks[0])), img_b[ranks[1]]))
         if i is None:
             raise ValidationError(
                 f"stage {n}: image square not found in target tower"
@@ -218,17 +233,70 @@ def _square_images(n, prev, g, T: Tower, Tp: Tower):
     return out
 
 
+def _image(f: SimplicialMap, s: Simplex) -> Simplex:
+    """f(s); a generator's image is read, not rebuilt."""
+    y = f.assign[s.gen.dim][s.gen.index]
+    return degenerate(y, s.word) if s.word else y
+
+
 def _check_tower_map(tm: TowerMap, cap):
-    T, Tp = tm.source, tm.target
+    """Check the stage maps of ``tm`` through ``cap`` exactly, stage by stage.
+
+    The map f_n of stage n must restrict to f_{n-1} (to f for n = 0)
+    through the two towers' inclusions, and on each cell c that stage n
+    adds it must be simplicial, f_n(d_i c) = d_i f_n(c), and commute with
+    the projections, p'_n(f_n c) = g(p_n c).  The older cells need no
+    second look: they are covered by the previous stage, because
+    p_n . i_n = p_{n-1} in every tower that ``attach_cells`` builds.
+    """
+    T, Tp, g = tm.source, tm.target, tm.g
     for n in range(cap + 1):
-        fn = tm.stage_maps[n]
+        fn, X, Xp = tm.stage_maps[n], T.stages[n], Tp.stages[n]
+        if fn.dom != X or fn.cod != Xp:
+            raise ValidationError(f"stage {n}: induced map does not run between"
+                                  " the stages")
         prev = tm.f if n == 0 else tm.stage_maps[n - 1]
-        if compose(fn, T.inclusions[n]) != compose(Tp.inclusions[n], prev):
-            raise ValidationError(f"stage {n}: induced map does not commute"
-                                  " with the stage inclusions")
-        if compose(Tp.projections[n], fn) != compose(tm.g, T.projections[n]):
-            raise ValidationError(f"stage {n}: induced map does not commute"
-                                  " with the projections")
+        fa, ia = fn.assign, Tp.inclusions[n].assign
+        old = [set() for _ in X.counts]
+        for d, row in enumerate(T.inclusions[n].assign):
+            for s, y in zip(row, prev.assign[d]):
+                a, b = fa[s.gen.dim][s.gen.index], ia[y.gen.dim][y.gen.index]
+                if s.word or y.word:
+                    a, b = degenerate(a, s.word), degenerate(b, y.word)
+                if a is not b and a != b:
+                    raise ValidationError(f"stage {n}: induced map does not commute"
+                                          " with the stage inclusions")
+                if not s.word:
+                    old[d].add(s.gen.index)
+        # new cells share their faces and disks: map each of those once
+        p, pp = T.projections[n], Tp.projections[n]
+        faces_of, disks_of = {}, {}
+        for d, count in enumerate(X.counts):
+            top = Xp.count(d)
+            for c in sorted(set(range(count)).difference(old[d])):
+                y = fa[d][c]
+                if y.word or y.gen.dim != d or y.gen.index >= top:
+                    errs = simplex_errors(Xp, y, d)
+                    if errs:
+                        raise ValidationError(
+                            f"stage {n}: image of cell {d}:{c}: {errs[0]}")
+                    below = [face(Xp, y, i) for i in range(d + 1)] if d else ()
+                else:
+                    below = Xp.faces[d][y.gen.index]
+                z = p.assign[d][c]
+                gz = disks_of.get(id(z))
+                if gz is None:
+                    gz = disks_of[id(z)] = _image(g, z)
+                if _image(pp, y) != gz:
+                    raise ValidationError(f"stage {n}: induced map does not commute"
+                                          " with the projections")
+                for i, (s, t) in enumerate(zip(X.faces[d][c], below)):
+                    u = faces_of.get(id(s))
+                    if u is None:
+                        u = faces_of[id(s)] = _image(fn, s)
+                    if u is not t and u != t:
+                        raise ValidationError(f"stage {n}: induced map is not simplicial"
+                                              f" at d_{i} of cell {d}:{c}")
 
 
 def compose_tower_maps(tm2: TowerMap, tm1: TowerMap) -> TowerMap:

@@ -9,16 +9,21 @@ order is canonical: lexicographic on generator assignments by dimension
 then index, with candidate simplices ordered by degeneracy word then
 generator.
 
-The squares of one search hold integer ranks into one ``SquareTable``
-of candidate simplices, not ``SimplicialMap``s; gluing, labelling and
-induced tower maps work on those ranks, and a square builds its maps
-only when they are asked for.
+By the Yoneda reduction an attaching square is its facets x_0 .. x_n
+and its disk b.  The squares of one search hold just these, as ranks
+into one ``SquareTable`` of candidate simplices, which holds the face
+tables of the candidates as ranks.  A square's lower rows, sort key and
+label are gathered from its facets' faces by one plan per n, and its
+maps are built only when they are asked for; gluing, labelling and
+induced tower maps work on the ranks.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import accumulate, combinations
+from math import comb
+from operator import itemgetter
 
 from .core import (
     Simplex,
@@ -116,6 +121,86 @@ def enumerate_maps(K: SimplicialSet, X: SimplicialSet, budget=DEFAULT_BUDGET):
     return results
 
 
+@cache
+def _yoneda_plan(m):
+    """How to read the Yoneda map of an m-simplex off rank face tables.
+
+    The generators of Delta^m, in flat order (by dimension, then index),
+    are its vertex subsets, and the Yoneda map of an m-simplex x sends a
+    subset to the face of x it spans.  Returns (dims, steps, bounds):
+    ``dims[q]`` is the dimension of flat generator q; ``steps`` lists,
+    from the top down, (q, parent, i) where generator q is the face d_i
+    of the generator ``parent`` one dimension up (the top generator is
+    last); ``bounds`` splits the flat order into rows by dimension.
+    """
+    flat = [s for k in range(m + 1) for s in combinations(range(m + 1), k + 1)]
+    at = {s: q for q, s in enumerate(flat)}
+    steps = []
+    for q in range(len(flat) - 2, -1, -1):
+        s = flat[q]
+        # the least vertex v missing from s is vertex number v of s + {v}
+        v = next(v for v in range(m + 1) if v not in s)
+        steps.append((q, at[tuple(sorted(s + (v,)))], v))
+    ends = list(accumulate(comb(m + 1, k + 1) for k in range(m + 1)))
+    return tuple(len(s) - 1 for s in flat), tuple(steps), tuple(zip([0] + ends, ends))
+
+
+def _yoneda(m, faces, count):
+    """The flat Yoneda ranks (``_yoneda_plan`` order) of the m-simplices
+    0..count-1, read off ``faces[d][r]``, the face ranks of rank r in dim d."""
+    dims, steps, _ = _yoneda_plan(m)
+    cols = [None] * len(dims)
+    cols[-1] = range(count)
+    for q, parent, i in steps:
+        up = faces[dims[parent]]
+        cols[q] = [up[r][i] for r in cols[parent]]
+    return list(zip(*cols))
+
+
+@cache
+def _gather_plan(n):
+    """The gather of an attaching map from its facets, one per n.
+
+    For facets (x_0 .. x_n), x_j being the image of the face d_j of
+    Delta^n, the itemgetter returned reads the whole map, flat in the
+    generator order of the boundary of Delta^n, off the concatenated
+    Yoneda tuples of x_0 .. x_n: a boundary generator is a vertex subset
+    S, and it is read in the facet of the largest vertex j missing from S.
+    """
+    inner = {s: q for q, s in enumerate(
+        s for k in range(n) for s in combinations(range(n), k + 1))}
+    items = []
+    for k in range(n):
+        for s in combinations(range(n + 1), k + 1):
+            j = max(v for v in range(n + 1) if v not in s)
+            items.append(j * len(inner) + inner[tuple(v - (v > j) for v in s)])
+    return itemgetter(*items)
+
+
+def _rows(flat, n):
+    """Flat ranks in Delta^n's generator order, split into rows by dimension."""
+    return tuple(flat[a:b] for a, b in _yoneda_plan(n)[2])
+
+
+def _tokens(cand):
+    """``format_simplex`` of every candidate, each formatted once."""
+    from .textio import format_simplex
+    return [list(map(format_simplex, c)) for c in cand]
+
+
+def _face_ranks(X, cand, rank):
+    """``[d][r]``: the ranks in ``cand[d - 1]`` of the faces of ``cand[d][r]``;
+    a generator's faces are read from X's face table."""
+    out = [None]
+    for d in range(1, len(cand)):
+        below = rank[d - 1].__getitem__
+        gens = X.faces[d] if d < len(X.counts) else ()
+        out.append([tuple(map(below, gens[s.gen.index] if not s.word
+                              else [face(X, s, i) for i in range(d + 1)]))
+                    for s in cand[d]])
+    return out
+
+
 class SquareTable:
     """The candidate simplices of one stage and of the target, as ranks.
 
@@ -123,8 +208,16 @@ class SquareTable:
     square it returns shares it.  ``cand_a[d]`` lists the d-simplices of
     the stage A = p.dom for d < n and ``cand_b[d]`` those of the target
     B = p.cod for d <= n, in ``simplex_candidates`` order; ``rank_a`` and
-    ``rank_b`` invert them, and ``p_a[d][r]`` is the rank in ``cand_b[d]``
-    of p applied to ``cand_a[d][r]``.
+    ``rank_b`` invert them.  ``faces_a[d][r]`` and ``faces_b[d][r]`` are
+    the ranks of the faces of candidate r, and ``p_top[x]`` is the rank in
+    ``cand_b[n - 1]`` of p applied to ``cand_a[n - 1][x]``; all of these
+    are computed once per candidate.
+
+    A square is its facets (x_0 .. x_n), ranks in ``cand_a[n - 1]``, and
+    its disk b, a rank in ``cand_b[n]``.  Everything else about it is read
+    off the face tables: ``attach_rows`` gathers the attaching map from the
+    facets' Yoneda tuples, ``disk_rows`` is the Yoneda map of b, and the
+    label texts come from tokens formatted once per candidate.
     """
 
     def __init__(self, n, p: SimplicialMap):
@@ -134,7 +227,9 @@ class SquareTable:
         self.cand_b = [simplex_candidates(B, d) for d in range(n + 1)]
         self.rank_a = [{s: r for r, s in enumerate(c)} for c in self.cand_a]
         self.rank_b = [{s: r for r, s in enumerate(c)} for c in self.cand_b]
-        self.p_a = [[self.rank_b[d][p(s)] for s in c] for d, c in enumerate(self.cand_a)]
+        self.faces_a = _face_ranks(A, self.cand_a, self.rank_a)
+        self.faces_b = _face_ranks(B, self.cand_b, self.rank_b)
+        self.p_top = [self.rank_b[n - 1][p(s)] for s in self.cand_a[n - 1]]
 
     @classmethod
     def over(cls, n, p: SimplicialMap, squares=()):
@@ -147,16 +242,50 @@ class SquareTable:
         return cls(n, p)
 
     @cached_property
-    def tokens_a(self):
-        """``format_simplex`` of every candidate of A, each formatted once."""
-        from .textio import format_simplex
-        return [list(map(format_simplex, c)) for c in self.cand_a]
+    def yoneda_a(self):
+        """The flat Yoneda ranks of every candidate of ``cand_a[n - 1]``."""
+        return _yoneda(self.n - 1, self.faces_a, len(self.cand_a[-1]))
 
     @cached_property
-    def tokens_b(self):
-        """``format_simplex`` of every candidate of B, each formatted once."""
-        from .textio import format_simplex
-        return [list(map(format_simplex, c)) for c in self.cand_b]
+    def yoneda_b(self):
+        """The flat Yoneda ranks of every candidate of ``cand_b[n]``."""
+        return _yoneda(self.n, self.faces_b, len(self.cand_b[-1]))
+
+    @cached_property
+    def cellular(self):
+        """Every candidate of total dimension d lies on a generator of
+        dimension at most d, so every map into the stage that the table
+        ranks carries k-skeleta into k-skeleta."""
+        return all(s.gen.dim <= d for d, c in enumerate(self.cand_a) for s in c)
+
+    def attach_flat(self, facets):
+        """The attaching map of ``facets``: ranks, flat in boundary generator order."""
+        y = self.yoneda_a
+        return _gather_plan(self.n)(sum(map(y.__getitem__, facets), ()))
+
+    def attach_rows(self, facets):
+        """The attaching map of ``facets``, as rank rows by dimension."""
+        return _rows(self.attach_flat(facets), self.n)[:-1]
+
+    def disk_rows(self, top):
+        """The Yoneda map of the disk ``top``, as rank rows by dimension."""
+        return _rows(self.yoneda_b[top], self.n)
+
+    @cached_property
+    def _yoneda_tokens_a(self):
+        dims, tok = _yoneda_plan(self.n - 1)[0], _tokens(self.cand_a)
+        return [tuple(tok[d][r] for d, r in zip(dims, y)) for y in self.yoneda_a]
+
+    def attach_text(self, facets):
+        """The tokens of the attaching map of ``facets``, joined by spaces."""
+        y = self._yoneda_tokens_a
+        return " ".join(_gather_plan(self.n)(sum(map(y.__getitem__, facets), ())))
+
+    @cached_property
+    def disk_text(self):
+        """``[b]``: the tokens of the Yoneda map of disk b, joined by spaces."""
+        dims, tok = _yoneda_plan(self.n)[0], _tokens(self.cand_b)
+        return [" ".join(tok[d][r] for d, r in zip(dims, y)) for y in self.yoneda_b]
 
 
 class AttachmentSquare:
@@ -166,29 +295,60 @@ class AttachmentSquare:
     ``disk`` maps Delta^n into the target.  The square commutes exactly
     against the stage projection (checked by ``square_commutes``).
 
-    A square from ``enumerate_squares`` holds ranks: ``rows[d][g]`` is the
-    rank of attach's image of boundary generator d:g in ``table.cand_a[d]``
-    and ``disk_rows[d][g]`` that of disk's image of d:g in
-    ``table.cand_b[d]``.  It builds ``attach`` and ``disk`` only when they
-    are asked for.  ``AttachmentSquare(n, attach, disk)`` holds the maps
-    and no table; ``ranks`` ranks it against a table when it is used.
-    Equality and hashing are those of (n, attach, disk) either way.
+    By the Yoneda reduction a square is its facets and its disk: the
+    images x_0 .. x_n of the faces d_0 .. d_n of Delta^n, which fix the
+    attaching map, and the n-simplex b that the disk map is.  A square
+    from ``enumerate_squares`` holds just these, as ``facets`` (ranks in
+    ``table.cand_a[n - 1]``) and ``top`` (a rank in ``table.cand_b[n]``).
+    ``rows[d][g]``, the rank of attach's image of boundary generator d:g,
+    ``disk_rows`` likewise for the disk, and the maps ``attach`` and
+    ``disk`` are read off the table only when they are asked for.
+    ``AttachmentSquare(n, attach, disk)`` holds the maps and no table
+    (``rows`` is None); ``ranks`` reduces it to (facets, top) against a
+    table when it is used.  Equality and hashing are those of
+    (n, attach, disk) either way.
     """
 
     def __init__(self, n, attach: SimplicialMap, disk: SimplicialMap):
         if n < 1:
             raise ValidationError("attaching squares exist in dimension >= 1")
         self.n = n
-        self.table = self.rows = self.disk_rows = None
+        self.table = self.facets = self.top = None
         self.__dict__["attach"] = attach
         self.__dict__["disk"] = disk
 
     @classmethod
-    def of_ranks(cls, table: SquareTable, rows, disk_rows):
-        """A square held as its ranks in ``table``, as ``enumerate_squares`` makes it."""
+    def of_facets(cls, table: SquareTable, facets, top):
+        """The square of ``table`` with these facets and this disk, unchecked."""
         sq = cls.__new__(cls)
-        sq.n, sq.table, sq.rows, sq.disk_rows = table.n, table, rows, disk_rows
+        sq.n, sq.table, sq.facets, sq.top = table.n, table, facets, top
         return sq
+
+    @classmethod
+    def of_ranks(cls, table: SquareTable, rows, disk_rows):
+        """The square of ``table`` whose maps have these rank rows.
+
+        The rows must be those of the square's facets (``rows[n - 1]`` in
+        reverse) and its disk (``disk_rows[n][0]``) in the table.
+        """
+        n = table.n
+        facets, top = tuple(rows[n - 1][::-1]), disk_rows[n][0]
+        sq = cls.of_facets(table, facets, top)
+        if not (len(facets) == n + 1 and 0 <= top < len(table.cand_b[n])
+                and all(0 <= x < len(table.cand_a[n - 1]) for x in facets)
+                and tuple(map(tuple, rows)) == sq.rows
+                and tuple(map(tuple, disk_rows)) == sq.disk_rows):
+            raise ValidationError("rank rows are not the faces of a square's"
+                                  " facets and disk")
+        return sq
+
+    @cached_property
+    def rows(self):
+        return None if self.table is None else self.table.attach_rows(self.facets)
+
+    @cached_property
+    def disk_rows(self):
+        return None if self.table is None else self.table.disk_rows(self.top)
 
     @cached_property
     def attach(self) -> SimplicialMap:
@@ -198,39 +358,52 @@ class AttachmentSquare:
 
     @cached_property
     def disk(self) -> SimplicialMap:
+        """The Yoneda map of the disk simplex."""
         cb = self.table.cand_b
         return SimplicialMap(standard_simplex(self.n), self.table.p.cod, tuple(
             tuple(cb[d][r] for r in row) for d, row in enumerate(self.disk_rows)))
 
     def ranks(self, table: SquareTable):
-        """(rows, disk_rows) of this square against ``table``, or None if its
-        maps do not run from the boundary of Delta^n and Delta^n into the
-        table's stage and target."""
+        """(facets, top) of this square in ``table``, or None if its maps
+        are not exactly the maps of such ranks: maps from the boundary of
+        Delta^n and Delta^n into the table's stage and target."""
         t = self.table
         if t is table or (t is not None and t.n == table.n and t.p == table.p):
-            return self.rows, self.disk_rows
-        a, d = self.attach, self.disk
-        if (self.n != table.n or a.dom != boundary_simplex(self.n)
-                or d.dom != standard_simplex(self.n)
+            return self.facets, self.top
+        n, a, d = self.n, self.attach, self.disk
+        if (n != table.n or a.dom != boundary_simplex(n) or d.dom != standard_simplex(n)
                 or a.cod != table.p.dom or d.cod != table.p.cod):
             return None
         try:
-            return (tuple(tuple(table.rank_a[k][s] for s in row)
-                          for k, row in enumerate(a.assign)),
-                    tuple(tuple(table.rank_b[k][s] for s in row)
-                          for k, row in enumerate(d.assign)))
+            facets = tuple(table.rank_a[n - 1][s] for s in reversed(a.assign[n - 1]))
+            top = table.rank_b[n][d.assign[n][0]]
         except KeyError:  # an image of the wrong dimension or generator
             return None
+        held = AttachmentSquare.of_facets(table, facets, top)
+        if (held.attach, held.disk) != (a, d):
+            return None
+        return facets, top
+
+    def _key(self):
+        """The images of the top generators, which equal squares share."""
+        n, t = self.n, self.table
+        if t is not None:
+            return (tuple(t.cand_a[n - 1][x] for x in reversed(self.facets)),
+                    t.cand_b[n][self.top])
+        a, d = self.attach, self.disk
+        if a.dom == boundary_simplex(n) and d.dom == standard_simplex(n):
+            return a.assign[n - 1], d.assign[n][0]
+        return a, d
 
     def __eq__(self, other):
         if not isinstance(other, AttachmentSquare):
             return NotImplemented
         if self.table is not None and self.table is other.table:
-            return self.rows == other.rows and self.disk_rows == other.disk_rows
+            return self.facets == other.facets and self.top == other.top
         return (self.n, self.attach, self.disk) == (other.n, other.attach, other.disk)
 
     def __hash__(self):
-        return hash((self.n, self.attach, self.disk))
+        return hash((self.n, self._key()))
 
     def __repr__(self):
         return f"AttachmentSquare(n={self.n}, attach={self.attach!r}, disk={self.disk!r})"
@@ -256,29 +429,23 @@ def enumerate_squares(n, p_prev: SimplicialMap, budget: Budget | None = None):
     (attach, disk) under the canonical map order.
 
     Simplices are handled as ranks in ``simplex_candidates`` order, so a
-    rank tuple sorts like the simplices it stands for.  The squares hold
-    those ranks and share one ``SquareTable``.  Every join step is charged
-    to ``budget`` (a fresh ``Budget()`` if none is given).
+    rank tuple sorts like the simplices it stands for: a tuple's sort key
+    is its attaching map, gathered as ranks from its facets' faces.  The
+    squares hold their facets and disk and share one ``SquareTable``.
+    Every join step is charged to ``budget`` (a fresh ``Budget()`` if none
+    is given).
     """
     if n < 1:
         raise ValidationError("enumerate_squares needs n >= 1")
     if budget is None:
         budget = Budget()
     table = SquareTable(n, p_prev)
-    A, B = p_prev.dom, p_prev.cod
-    cand_a, cand_b, rank_a, rank_b = table.cand_a, table.cand_b, table.rank_a, table.rank_b
-    # faces_a[d][r]: ranks of the faces of the simplex of rank r in dim d
-    faces_a = [None] + [
-        [tuple(rank_a[d - 1][face(A, s, i)] for i in range(d + 1)) for s in cand_a[d]]
-        for d in range(1, n)]
-    p_a = table.p_a
     disks = {}
-    for b, s in enumerate(cand_b[n]):
-        key = tuple(rank_b[n - 1][face(B, s, i)] for i in range(n + 1))
-        disks.setdefault(key, []).append(b)
+    for b, fs in enumerate(table.faces_b[n]):
+        disks.setdefault(fs, []).append(b)
 
     # x_j joins on its first j faces: d_i x_j = d_{j-1} x_i for i < j
-    top = faces_a[n - 1] if n > 1 else [()] * len(cand_a[n - 1])
+    top = table.faces_a[n - 1] if n > 1 else [()] * len(table.cand_a[0])
     index = [{} for _ in range(n + 1)]
     for r, fs in enumerate(top):
         for j in range(n + 1):
@@ -298,27 +465,12 @@ def enumerate_squares(n, p_prev: SimplicialMap, budget: Budget | None = None):
         partial = grown
     budget.used += steps
 
-    # a lower generator of the boundary is face k of a generator one up
-    bnd = boundary_simplex(n)
-    parents = [[next((t, k) for t, fs in enumerate(bnd.faces[d + 1])
-                     for k, f in enumerate(fs) if f.gen.index == g)
-                for g in range(bnd.counts[d])]
-               for d in range(n - 1)]
+    p_top, attach_flat = table.p_top, table.attach_flat
     found = []
     for xs in partial:
-        matches = disks.get(tuple(p_a[n - 1][x] for x in xs))
-        if matches is None:
-            continue
-        # the facet with index k in Delta^n omits vertex n - k
-        rows = [None] * (n - 1) + [xs[::-1]]
-        for d in range(n - 2, -1, -1):
-            up, fa = rows[d + 1], faces_a[d + 1]
-            rows[d] = tuple(fa[up[t]][k] for t, k in parents[d])
-        found.append((tuple(rows), matches))
-    found.sort(key=lambda item: item[0])
-
-    out = []
-    for rows, matches in found:
-        lower = tuple(tuple(map(p_a[d].__getitem__, row)) for d, row in enumerate(rows))
-        out.extend(AttachmentSquare.of_ranks(table, rows, lower + ((b,),)) for b in matches)
-    return out
+        matches = disks.get(tuple(map(p_top.__getitem__, xs)))
+        if matches is not None:
+            found.append((attach_flat(xs), xs, matches))
+    found.sort(key=itemgetter(0))
+    of_facets = AttachmentSquare.of_facets
+    return [of_facets(table, xs, b) for _, xs, matches in found for b in matches]

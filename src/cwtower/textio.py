@@ -318,14 +318,15 @@ def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
 
 def format_square(sq: AttachmentSquare) -> str:
     token = simplex_formatter()
-    return square_text(sq.n, [token(s) for row in sq.attach.assign for s in row],
-                       [token(s) for row in sq.disk.assign for s in row])
+    return square_text(sq.n, " ".join(token(s) for row in sq.attach.assign for s in row),
+                       " ".join(token(s) for row in sq.disk.assign for s in row))
 
 
-def square_text(n, attach_tokens, disk_tokens) -> str:
+def square_text(n, attach, disk) -> str:
     """The one line of a square, from the tokens of its attaching map and
-    disk in generator order; also the label of the square's cell."""
-    return f"square n={n} attach[{' '.join(attach_tokens)}] disk[{' '.join(disk_tokens)}]"
+    of its disk, each joined by spaces in generator order; also the label
+    of the square's cell."""
+    return f"square n={n} attach[{attach}] disk[{disk}]"
 
 
 _SQUARE_RE = re.compile(r"^square n=(\d+) attach\[(.*)\] disk\[(.*)\]$")

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ from cwtower import (
     subcomplex,
 )
 from cwtower.cli import main
+from cwtower.cli import make_parser
 from cwtower.core import boundary_inclusion
 from cwtower.homsearch import Budget
 
@@ -480,3 +483,36 @@ class TestSuitesAtCap3:
 
     def test_connectivity_circle(self, circle_file, capsys):
         self.passes(["--suite", "connectivity", circle_file], capsys)
+
+
+class TestParserOncePerProcess:
+    """``main`` builds its parser once per process; a parse error in one
+    call leaves later calls as they would be in a fresh process."""
+
+    @staticmethod
+    def fresh(argv):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-m", "cwtower", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @staticmethod
+    def here(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_good_error_good(self, circle_file, capsys):
+        calls = [["homology", circle_file], ["homology", circle_file, "--degree", "x"],
+                 ["homology", circle_file, "--degree", "1"]]
+        got = [self.here(argv, capsys) for argv in calls]
+        assert [code for code, _, _ in got] == [0, 2, 0]
+        assert "invalid int value: 'x'" in got[1][2]
+        assert got == [self.fresh(argv) for argv in calls]
+
+    def test_built_once(self):
+        assert make_parser() is make_parser()

@@ -130,6 +130,23 @@ class TestAttachCells:
             attach_cells(P.stages[0], T.squares[1][:1], P.projections[0])
 
 
+    @pytest.mark.parametrize("which", ["attach", "disk"])
+    def test_map_built_square_off_its_facets_rejected(self, which):
+        # a square built from maps whose top images are a real square's but
+        # whose vertex row is not their faces: its ranks would commute, its
+        # maps do not
+        T = cw_tower(boundary_simplex(2), 2)
+        X, p = T.stages[1], T.projections[1]
+        good = T.squares[2][0]
+        maps = {"attach": good.attach, "disk": good.disk}
+        m = maps[which]
+        moved = tuple(Simplex((), SimplexRef(0, (v.gen.index + 1) % 3)) for v in m.assign[0])
+        maps[which] = SimplicialMap(m.dom, m.cod, (moved,) + m.assign[1:])
+        bad = AttachmentSquare(2, maps["attach"], maps["disk"])
+        assert not square_commutes(bad, p)
+        with pytest.raises(ValidationError, match="square 0: attaching square does not commute"):
+            attach_cells(X, [bad], p)
+
 class TestStageZero:
     def test_empty_over_point(self):
         A0, incl, p0 = stage_zero(SimplicialSet.empty(), empty_map(standard_simplex(0)))

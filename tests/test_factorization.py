@@ -23,9 +23,14 @@ from cwtower import (
     validate,
 )
 from cwtower.core import Simplex, SimplexRef, SimplicialMap
+from cwtower.cli import main
+from cwtower.core import map_errors
+from cwtower.factorization import _check_tower_map
 from cwtower.factorization import is_cellular
+from cwtower.homsearch import AttachmentSquare
 
 from util import oracle_induced_stage_maps
+from util import vertex_with_loop
 
 R = SimplexRef
 EDGE01 = {R(0, 0), R(0, 1), R(1, 0)}
@@ -272,3 +277,112 @@ class TestIntersectionTheorem:
     def test_non_face_closed_rejected(self):
         with pytest.raises(ValidationError):
             check_intersection(boundary_simplex(2), [{R(1, 0)}], 1)
+
+
+def with_stage_map(tm, n, edit):
+    """``tm`` with stage map n's cell images in dimension n edited by ``edit``."""
+    fn = tm.stage_maps[n]
+    rows = [list(r) for r in fn.assign]
+    edit(rows[n])
+    maps = list(tm.stage_maps)
+    maps[n] = SimplicialMap(fn.dom, fn.cod, tuple(map(tuple, rows)))
+    return type(tm)(source=tm.source, target=tm.target, f=tm.f, g=tm.g,
+                    stage_maps=maps)
+
+
+class TestTowerMapCheck:
+    def test_identity_passes(self):
+        T = cw_tower(standard_simplex(0), 2)
+        _check_tower_map(identity_tower_map(T), 2)
+
+    def test_swapped_cells_rejected(self):
+        # 2-cells 0 and 1 of the point tower lie over the same disk, but
+        # their faces differ, so the swap is not simplicial
+        T = cw_tower(standard_simplex(0), 2)
+        tm = identity_tower_map(T)
+
+        def swap(row):
+            row[0], row[1] = row[1], row[0]
+
+        bad = with_stage_map(tm, 2, swap)
+        assert map_errors(bad.stage_maps[2])
+        with pytest.raises(ValidationError, match="stage 2: induced map is not simplicial"):
+            _check_tower_map(bad, 2)
+
+    def test_cell_over_another_disk_rejected(self):
+        # over a vertex with a loop, the constant attaching map bounds two
+        # disks (the degenerate edge and the loop): two 1-cells with the
+        # same faces over different disks
+        B = vertex_with_loop()
+        T = cw_tower(B, 1)
+        tm = identity_tower_map(T)
+        sq = T.squares[1]
+        k = next(k for k in range(len(sq) - 1) if sq[k].facets == sq[k + 1].facets)
+        assert T.projections[1].assign[1][k] != T.projections[1].assign[1][k + 1]
+
+        def over_other_disk(row):
+            row[k] = row[k + 1]
+
+        bad = with_stage_map(tm, 1, over_other_disk)
+        assert not map_errors(bad.stage_maps[1])
+        with pytest.raises(ValidationError, match="stage 1: .* with the projections"):
+            _check_tower_map(bad, 1)
+
+    def test_cell_sent_outside_the_stage_rejected(self):
+        T = cw_tower(standard_simplex(0), 1)
+
+        def away(row):
+            row[0] = Simplex((), SimplexRef(1, 99))
+
+        with pytest.raises(ValidationError, match="stage 1: image of cell 1:0"):
+            _check_tower_map(with_stage_map(identity_tower_map(T), 1, away), 1)
+
+    def test_square_map_not_simplicial_rejected(self):
+        # f sends the interval's edge to a degenerate edge on vertex 0, so
+        # f(d_0 e) = 1 but d_0 f(e) = 0; the square over the point commutes
+        I, pt = standard_simplex(1), standard_simplex(0)
+        v = [Simplex((), R(0, i)) for i in (0, 1)]
+        f = SimplicialMap(I, I, ((v[0], v[1]), (Simplex((0,), R(0, 0)),)))
+        to_pt = SimplicialMap(I, pt, ((v[0], v[0]), (Simplex((0,), R(0, 0)),)))
+        assert map_errors(f) and compose(to_pt, f) == to_pt
+        T = build_tower(I, to_pt, 1)
+        with pytest.raises(ValidationError, match="invalid square map"):
+            induced_tower_map(f, identity_map(pt), T, T)
+
+class TestNoPerSquareMaps:
+    """Builds and induced maps work on facets and disks: no square builds
+    its attaching map or its disk map."""
+
+    @pytest.fixture
+    def no_square_maps(self, monkeypatch):
+        def refuse(sq):
+            raise AssertionError("a square built its maps")
+
+        monkeypatch.setattr(AttachmentSquare, "attach", property(refuse))
+        monkeypatch.setattr(AttachmentSquare, "disk", property(refuse))
+
+    @pytest.mark.parametrize("variant", ["all-maps", "cellular"])
+    def test_build(self, no_square_maps, variant):
+        T = cw_tower(boundary_simplex(2), 3, variant)
+        assert [len(s) for s in T.squares] == [0, 6, 36, 1017]
+        with pytest.raises(AssertionError, match="built its maps"):
+            T.squares[1][0].attach
+
+    def test_induced_map(self, no_square_maps):
+        X = boundary_simplex(2)
+        pt, incl = subcomplex(X, {R(0, 0)})
+        tm = induced_tower_map(empty_map(SimplicialSet.empty()), incl,
+                               cw_tower(pt, 3), cw_tower(X, 3))
+        assert check_subcomplex(tm) == (True, None)
+
+    def test_variant_suite(self, no_square_maps, tmp_path, capsys):
+        circle = tmp_path / "circle.sset"
+        circle.write_text(format_sset(boundary_simplex(2)))
+        assert main(["verify", "--suite", "variant", str(circle), "--max-dim", "3"]) == 0
+        assert capsys.readouterr().out.count("PASS variant-coincidence") == 4
+
+    def test_cellular_read_from_the_table(self):
+        T = cw_tower(standard_simplex(1), 2)
+        for sq in T.squares[2]:
+            assert is_cellular(sq) and "attach" not in vars(sq)
+            assert is_cellular(AttachmentSquare(2, sq.attach, sq.disk))

@@ -1,7 +1,10 @@
 import random
 from itertools import combinations
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cwtower import (
     SimplicialSet,
@@ -16,7 +19,9 @@ from cwtower import (
     standard_simplex,
     subcomplex,
 )
+from cwtower.colimits import attach_cells
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, face_closure_errors
+from cwtower.core import ValidationError, validate
 from cwtower.homsearch import AttachmentSquare, Budget, BudgetExceeded, simplex_candidates
 
 from util import (
@@ -213,3 +218,81 @@ class TestEnumerateSquares:
             ]
             assert len(set(images)) == len(images)
             assert set(images) <= target_keys
+
+
+def vertex(v):
+    return Simplex((), SimplexRef(0, v))
+
+
+def target_of(nv, edges, triangles):
+    """A complex from vertex count, edges (d_0, d_1) and triangles given as
+    ranks into its 1-simplex candidates (edges and degenerate vertices)."""
+    faces = [[()] * nv, [(vertex(a), vertex(b)) for a, b in edges]]
+    ones = simplex_candidates(SimplicialSet.build([nv, len(edges)], faces), 1)
+    return SimplicialSet.build([nv, len(edges), len(triangles)], faces + [
+        [tuple(ones[r] for r in t) for t in triangles]])
+
+
+@st.composite
+def small_targets(draw):
+    """Complexes of dimension <= 2 with up to 3 vertices, 3 edges (loops
+    allowed) and 2 triangles, whose faces may be degenerate."""
+    nv = draw(st.integers(1, 3))
+    edges = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+                          max_size=3))
+    X1 = target_of(nv, edges, [])
+    ones = range(len(simplex_candidates(X1, 1)))
+    shells = [t for t in product(ones, repeat=3) if not validate(target_of(nv, edges, [t]))]
+    triangles = draw(st.lists(st.sampled_from(shells), max_size=2)) if shells else []
+    return target_of(nv, edges, triangles)
+
+
+class TestRandomTargets:
+    """The face-index join against the generic search, on random targets."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @example(target_of(1, [(0, 0)], []))                          # a loop
+    @example(target_of(1, [(0, 0)], [(0, 0, 0), (1, 1, 1)]))      # triangles on a loop
+    @example(target_of(2, [(1, 0)], [(2, 0, 0)]))                 # d_0 is s_0 of vertex 1
+    @given(small_targets())
+    def test_squares_and_stages_match_the_oracle(self, B):
+        assert not validate(B)
+        T = cw_tower(B, 2)
+        for n in (1, 2):
+            X, p = T.stages[n - 1], T.projections[n - 1]
+            oracle = oracle_enumerate_squares(n, p)
+            assert T.squares[n] == oracle, f"stage {n}"
+            assert attach_cells(X, oracle, p) == \
+                (T.stages[n], T.inclusions[n], T.projections[n]), f"stage {n}"
+
+
+class TestFacetsAndDisk:
+    def test_square_is_its_facets_and_disk(self):
+        # the rows of a ranked square are read off its facets' faces and
+        # its disk's faces, and give the maps of the generic search
+        T = cw_tower(standard_simplex(1), 3)
+        for n in (1, 2, 3):
+            for sq in T.squares[n]:
+                assert sq.rows[n - 1] == sq.facets[::-1]
+                assert sq.disk_rows[n] == (sq.top,)
+                assert AttachmentSquare.of_ranks(sq.table, sq.rows, sq.disk_rows) == sq
+            p = T.projections[n - 1]
+            assert [(sq.attach, sq.disk) for sq in T.squares[n]] == \
+                [(sq.attach, sq.disk) for sq in oracle_enumerate_squares(n, p)]
+
+    def test_of_ranks_refuses_rows_off_the_faces(self):
+        T = cw_tower(standard_simplex(0), 3)
+        sq = T.squares[3][0]
+        rows, disk_rows = sq.rows, sq.disk_rows
+        other = next(s for s in T.squares[3] if s.rows[1] != rows[1])
+        lower = (rows[0], other.rows[1], rows[2])
+        with pytest.raises(ValidationError, match="not the faces"):
+            AttachmentSquare.of_ranks(sq.table, lower, disk_rows)
+        wrong_top = disk_rows[:-1] + ((len(sq.table.cand_b[3]),),)
+        with pytest.raises(ValidationError, match="not the faces"):
+            AttachmentSquare.of_ranks(sq.table, rows, wrong_top)
+        # the disk rows of the interval's edge, with its two vertices swapped
+        edge = next(s for s in cw_tower(standard_simplex(1), 1).squares[1]
+                    if s.disk_rows[0] == (0, 1))
+        with pytest.raises(ValidationError, match="not the faces"):
+            AttachmentSquare.of_ranks(edge.table, edge.rows, ((1, 0), edge.disk_rows[1]))
