@@ -275,6 +275,8 @@ def _load_pair_with_map(args):
 # ---------------------------------------------------------------------------
 
 def cmd_homology(args):
+    if args.degree is not None and args.degree < 0:
+        raise ParseError(f"--degree {args.degree} must be >= 0")
     if os.path.isdir(args.input):
         _, cap = tower_meta(args.input)
         stage = cap if args.stage is None else args.stage

@@ -5,10 +5,14 @@ square, appended after the existing generators in list order, so the
 construction is deterministic and stage subsets are literal index
 ranges.  It works on each square as its facets and its disk, ranks in
 the ``SquareTable`` of (n, p): the commutativity check, the new faces
-and the labels.
+and the labels.  The stage it returns is checked from its new cells, on
+ranks, only when ``chain_complex`` asks for its validity.
 """
 
 from __future__ import annotations
+
+from functools import cache, partial
+from operator import itemgetter
 
 from .core import (
     Simplex,
@@ -34,6 +38,13 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     is rejected.  Each is then checked to commute on ranks, which is the
     one condition its ranks do not give by construction: the faces of b
     are p(x_0) .. p(x_n).  The new cell's faces are x_0 .. x_n.
+
+    X2 is not validated here.  It gets a deferred check (``defer_report``)
+    that ``chain_complex`` runs: X's report must be clean, and every new
+    cell must satisfy d_i x_j = d_{j-1} x_i for i < j, compared as ranks
+    in the table's face table; if either fails, the full ``validate`` walk
+    of X2 gives the report, so verdicts and messages are those of
+    ``validate``.
     """
     squares = list(squares)
     if not squares:
@@ -65,9 +76,11 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     labels = [list(X.labels[d]) if d < len(X.counts) else [] for d in range(ndims)]
     cand, disk_text = table.cand_a[n - 1], table.disk_text
     last = None
+    cells = []
     for facets, top in ranked:
         if facets is not last:
             last = facets
+            cells.append(facets)
             # facet j is the image of d_j, so it is face j of the new cell
             cell = tuple(map(cand.__getitem__, facets))
             attach = table.attach_text(facets)
@@ -76,6 +89,7 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     counts[n] += len(ranked)
     X2 = SimplicialSet(tuple(counts), tuple(tuple(r) for r in faces),
                        tuple(tuple(r) for r in labels))
+    X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], cells))
 
     incl = SimplicialMap(X, X2, tuple(
         tuple(Simplex((), SimplexRef(d, g)) for g in range(X.counts[d]))
@@ -84,6 +98,31 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     p_assign[n].extend(table.cand_b[n][top] for _, top in ranked)
     p2 = SimplicialMap(X2, p.cod, tuple(tuple(r) for r in p_assign))
     return X2, incl, p2
+
+
+@cache
+def _identity_plan(n):
+    """Two itemgetters over the concatenated face ranks of x_0 .. x_n (n
+    per facet, n >= 2): they read d_i x_j and d_{j-1} x_i for every i < j."""
+    pairs = [(i, j) for j in range(n + 1) for i in range(j)]
+    return (itemgetter(*[j * n + i for i, j in pairs]),
+            itemgetter(*[i * n + j - 1 for i, j in pairs]))
+
+
+def _attached_report(X, faces, cells, X2):
+    """``validate``'s report of X2, which is X plus one cell per facet tuple
+    of ``cells``: empty when X is clean and every tuple satisfies the
+    simplicial identities on the rank face table ``faces``, else the full
+    walk of X2.  The faces of an old simplex are the same in X and X2."""
+    if not X.checked_report:
+        n = len(cells[0]) - 1
+        if n < 2:  # a 1-cell's faces are vertices: no identity to check
+            return ()
+        lhs, rhs = _identity_plan(n)
+        flat = (sum(map(faces.__getitem__, xs), ()) for xs in cells)
+        if all(lhs(f) == rhs(f) for f in flat):
+            return ()
+    return X2.validation_report
 
 
 def stage_zero(A: SimplicialSet, f: SimplicialMap):

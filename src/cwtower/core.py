@@ -175,6 +175,20 @@ class SimplicialSet:
         """
         return tuple(_validation_report(self))
 
+    @cached_property
+    def checked_report(self):
+        """``validation_report``, read off a deferred check if one was left
+        by ``defer_report``; the check runs here once and is then dropped."""
+        check = self.__dict__.pop("_deferred_check", None)
+        return self.validation_report if check is None else check(self)
+
+    def defer_report(self, check):
+        """Have ``check(self)`` compute ``checked_report`` in place of the
+        full walk.  It must return exactly ``validation_report``, and it
+        must take the set as its argument rather than hold it, so that it
+        makes no reference cycle while it waits."""
+        self.__dict__["_deferred_check"] = check
+
 
 def face(X: SimplicialSet, s: Simplex, i) -> Simplex:
     """The i-th face of a simplex of X, in normal form."""
@@ -197,7 +211,7 @@ def face(X: SimplicialSet, s: Simplex, i) -> Simplex:
             out.append(j)
             k -= 1
     base = X.face_of_generator(s.gen, k)
-    return degenerate(base, out)
+    return degenerate(base, out) if out else base
 
 
 def simplex_errors(X: SimplicialSet, s: Simplex, expected_dim=None):
@@ -214,18 +228,24 @@ def validate(X: SimplicialSet):
     """Report every violated simplicial identity or dangling reference.
 
     Returns a list of human-readable strings; empty iff X is well formed.
-    The check runs once per object; later calls read its cached report.
+    This is the full walk over every generator, the exact reference; it
+    runs once per object, and later calls read its cached report.  A
+    stage built by ``attach_cells`` is checked instead from its new cells
+    when ``chain_complex`` reads its ``checked_report``.
     """
     return list(X.validation_report)
 
 
 def _validation_report(X: SimplicialSet):
     report = []
-    for d in range(1, len(X.counts)):
-        for g in range(X.counts[d]):
-            for i in range(d + 1):
-                fs = X.faces[d][g][i]
-                for e in simplex_errors(X, fs, d - 1):
+    counts = X.counts
+    for d in range(1, len(counts)):
+        for g, fs in enumerate(X.faces[d]):
+            for i, s in enumerate(fs):
+                m = s.gen.dim
+                if m + len(s.word) == d - 1 and s.gen.index < counts[m]:
+                    continue  # m <= d - 1 < len(counts), so counts[m] exists
+                for e in simplex_errors(X, s, d - 1):
                     report.append(f"generator {d}:{g} face {i}: {e}")
     if report:
         return report

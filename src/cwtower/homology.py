@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SimplicialMap, SimplicialSet, ValidationError, validate
+from .core import SimplicialMap, SimplicialSet, ValidationError
 
 
 def int_matrix(rows, ncols=None):
@@ -406,7 +406,13 @@ class ChainComplex:
 
 
 def chain_complex(X: SimplicialSet) -> ChainComplex:
-    errs = validate(X)
+    """The normalized chain complex of X, which must be valid.
+
+    Validity is ``X.checked_report``: the ``validate`` report, which a
+    stage built by ``attach_cells`` gives from its new cells (falling back
+    to the full walk), and any other set from the full walk.
+    """
+    errs = X.checked_report
     if errs:
         raise ValidationError("invalid simplicial set: " + "; ".join(errs[:4]))
     columns = []

@@ -312,6 +312,18 @@ class TestHomology:
         assert captured.out == ""
         assert captured.err == f"error: --stage {stage} is out of range 0..2\n"
 
+    @pytest.mark.parametrize("degree", ["-3", "-1"])
+    def test_negative_degree_exit_2(self, circle_file, tmp_path, capsys, degree):
+        assert main(["homology", circle_file, "--degree", degree]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --degree {degree} must be >= 0\n"
+        t = tmp_path / "t"
+        assert main(["build", circle_file, "--max-dim", "1", "--out", str(t)]) == 0
+        capsys.readouterr()
+        assert main(["homology", str(t), "--degree", degree]) == 2
+        assert capsys.readouterr().err == f"error: --degree {degree} must be >= 0\n"
+
     @pytest.mark.parametrize("meta", ["tower v1\nvariant all-maps\ncap two\n",
                                       "tower v1\nvariant all-maps\n",
                                       "tower v1\ncap 2\n"])

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -8,6 +10,7 @@ from cwtower import (
     ValidationError,
     attach_cells,
     boundary_simplex,
+    chain_complex,
     compose,
     cw_tower,
     empty_map,
@@ -21,6 +24,7 @@ from cwtower import (
     validate,
 )
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion
+from cwtower.homsearch import SquareTable
 
 from util import oracle_enumerate_squares, vertex_with_loop
 
@@ -146,6 +150,75 @@ class TestAttachCells:
         assert not square_commutes(bad, p)
         with pytest.raises(ValidationError, match="square 0: attaching square does not commute"):
             attach_cells(X, [bad], p)
+
+
+def full_walk(X):
+    """``validate`` of a fresh copy of X, which carries no deferred check."""
+    return validate(SimplicialSet(X.counts, X.faces, X.labels))
+
+
+def broken_point_stage():
+    """Stage 3 of the point tower glued from one map-built square whose
+    facets break d_i x_j = d_{j-1} x_i; attach_cells accepts it, since
+    its disk commutes."""
+    T = cw_tower(standard_simplex(0), 2)
+    ranked = AttachmentSquare.of_facets(SquareTable(3, T.projections[2]), (0, 0, 0, 1), 0)
+    sq = AttachmentSquare(3, ranked.attach, ranked.disk)
+    return attach_cells(T.stages[2], [sq], T.projections[2])
+
+
+class TestStageReport:
+    @pytest.mark.parametrize("variant", ["all-maps", "cellular"])
+    @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
+                                   boundary_simplex(2), standard_simplex(2)],
+                             ids=["point", "interval", "circle", "disk"])
+    def test_equals_the_full_walk_cap_3(self, B, variant):
+        T = cw_tower(B, 3, variant)
+        # nothing is checked while the tower is built
+        assert not any("checked_report" in vars(X) for X in T.stages)
+        for n in range(4):
+            X = T.stages[n]
+            assert X.checked_report == ()
+            # stages 1..3 are read off their new cells, without the full walk,
+            # and their deferred check is dropped once it has run
+            assert ("validation_report" in vars(X)) == (n == 0)
+            assert "_deferred_check" not in vars(X)
+            assert validate(X) == [] == full_walk(X)
+
+    def test_failed_identity_falls_back_to_the_full_walk(self):
+        X3 = broken_point_stage()[0]
+        want = full_walk(X3)
+        assert want and want[0].startswith("generator 3:0: d_0 d_3 != d_2 d_0")
+        assert list(X3.checked_report) == want == validate(X3)
+        message = "invalid simplicial set: " + "; ".join(want[:4])
+        with pytest.raises(ValidationError) as err:
+            chain_complex(X3)
+        assert str(err.value) == message
+        with pytest.raises(ValidationError) as ref:
+            chain_complex(SimplicialSet(X3.counts, X3.faces, X3.labels))
+        assert str(ref.value) == message
+
+    def test_unclean_previous_stage_falls_back_to_the_full_walk(self):
+        X3, _, p3 = broken_point_stage()
+        X4, _, _ = attach_cells(X3, enumerate_squares(4, p3)[:5], p3)
+        assert list(X4.checked_report) == full_walk(X4) == validate(X4) != []
+
+    def test_no_reference_cycle(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            T = cw_tower(boundary_simplex(2), 2)
+            kept = weakref.ref(T.stages[2])
+            below = weakref.ref(T.stages[1])
+            assert kept().checked_report == ()  # runs stage 1's check, then stage 2's
+            del T
+            assert kept() is None and below() is None
+            pending = weakref.ref(broken_point_stage()[0])  # its check never ran
+            assert pending() is None
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestStageZero:
     def test_empty_over_point(self):

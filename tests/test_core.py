@@ -67,6 +67,15 @@ class TestNormalForm:
         expected = degenerate(X.face_of_generator(e, 0), (0,))
         assert face(X, s1e, 0) == expected
 
+    def test_face_without_degeneracy_is_the_stored_face(self):
+        X = standard_simplex(2)
+        top = Simplex((), SimplexRef(2, 0))
+        for i in range(3):
+            assert face(X, top, i) is X.faces[2][0][i]
+        # d_0 s_0 of an edge cancels the degeneracy: the edge's stored face
+        s0e = Simplex((0,), SimplexRef(1, 0))
+        assert face(X, face(X, s0e, 0), 1) is X.faces[1][0][1]
+
     def test_normalize_wrapper(self):
         X = standard_simplex(0)
         s0v = Simplex((0,), SimplexRef(0, 0))
@@ -123,6 +132,18 @@ class TestValidate:
         X = SimplicialSet.build([1, 1], [[()], [(V(0), Simplex((), SimplexRef(0, 5)))]])
         report = validate(X)
         assert any("dangling" in line for line in report)
+
+    def test_bad_face_messages(self):
+        # a dangling generator, a wrong dimension, both, and a good face
+        faces2 = (Simplex((), SimplexRef(1, 4)), V(0), Simplex((), SimplexRef(0, 3)))
+        X = SimplicialSet.build([1, 1, 1, 1], [[()], [(V(0), V(0))], [faces2],
+                                               [(Simplex((0,), SimplexRef(1, 0)),) * 4]])
+        assert validate(X) == [
+            "generator 2:0 face 0: dangling generator reference 1:4",
+            "generator 2:0 face 1: simplex has dimension 0, expected 1",
+            "generator 2:0 face 2: dangling generator reference 0:3",
+            "generator 2:0 face 2: simplex has dimension 0, expected 1",
+        ]
 
     def test_report_computed_once_and_equality_unchanged(self):
         X = standard_simplex(3)

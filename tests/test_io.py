@@ -19,6 +19,7 @@ from cwtower import (
     format_square,
     format_sset,
     standard_simplex,
+    validate,
 )
 from cwtower.textio import (
     ParseError,
@@ -200,8 +201,14 @@ class TestTowerDirectory:
         assert tree_sha256(tmp_path / "c") == GOLDEN_CAP3_CELLULAR_CIRCLE
 
     def test_golden_digest_point_cap_4(self, tmp_path):
-        save_tower(cw_tower(standard_simplex(0), 4, budget=10**9), tmp_path / "p4")
+        T = cw_tower(standard_simplex(0), 4, budget=10**9)
+        save_tower(T, tmp_path / "p4")
         assert tree_sha256(tmp_path / "p4") == GOLDEN_CAP4_POINT
+        # each stage's report, read off its new cells, is the full walk's
+        for n, X in enumerate(T.stages):
+            assert X.checked_report == ()
+            assert ("validation_report" in vars(X)) == (n == 0)
+            assert validate(X) == []
 
     def test_save_load_round_trip(self, tmp_path):
         T = cw_tower(boundary_simplex(2), 2)
