@@ -11,11 +11,12 @@ or an output that cannot be written), 3 budget exceeded.
 The search budget, a non-negative integer, bounds the join steps of each
 build, over all of its stages.  It may be overridden with the
 CWTOWER_BUDGET environment variable; an explicit --budget flag of build
-and verify wins.  homology takes no budget flag.  On a tower directory, homology --stage k replays
-stages 0..k from the directory's inputs under that budget (exit 3 if the
-replay exceeds it) and refuses (exit 2) a directory whose files for
-those stages differ from the replay, checking each stage before building
-the next; stage files above k are not read.
+and verify wins, and both refuse (exit 2) a --max-dim above 3 without
+one.  homology takes no budget flag.  On a tower directory, homology
+--stage k replays stages 0..k from the directory's inputs under that
+budget (exit 3 if the replay exceeds it) and refuses (exit 2) a
+directory whose files for those stages differ from the replay, checking
+each stage before building the next; stage files above k are not read.
 """
 
 from __future__ import annotations
@@ -73,8 +74,16 @@ def _load_sset(path):
     return parse_sset(read_text(path))
 
 
-def _budget(flag=None):
-    """The --budget value, else CWTOWER_BUDGET, else the default; never negative."""
+def _budget(flag=None, max_dim=None):
+    """The --budget value, else CWTOWER_BUDGET, else the default; never negative.
+
+    A --max-dim above 3 needs an explicit --budget: the square count grows
+    doubly exponentially with the dimension.
+    """
+    if max_dim is not None and max_dim > 3 and flag is None:
+        raise ParseError(
+            f"max-dim {max_dim} grows doubly-exponentially; pass an"
+            " explicit --budget to allow it")
     if flag is not None:
         if flag < 0:
             raise ParseError(f"--budget must be a non-negative integer, got {flag}")
@@ -119,11 +128,8 @@ def cmd_build(args):
     else:
         A = SimplicialSet.empty()
         f = empty_map(B)
-    if args.max_dim > 3 and args.budget is None:
-        raise ParseError(
-            f"max-dim {args.max_dim} grows doubly-exponentially; pass an"
-            " explicit --budget to allow it")
-    tower = build_tower(A, f, args.max_dim, args.variant, _budget(args.budget))
+    tower = build_tower(A, f, args.max_dim, args.variant,
+                        _budget(args.budget, args.max_dim))
     with _writing(args.out):
         save_tower(tower, args.out)
         if args.dot:
@@ -186,7 +192,7 @@ def _parse_family(text):
 
 
 def cmd_verify(args):
-    budget = _budget(args.budget)
+    budget = _budget(args.budget, args.max_dim)
     failures = 0
 
     def report(name, ok, detail=""):

@@ -3,10 +3,11 @@
 ``attach_cells`` glues one new nondegenerate n-generator per attaching
 square, appended after the existing generators in list order, so the
 construction is deterministic and stage subsets are literal index
-ranges.  It works on each square as its facets and its disk, ranks in
-the ``SquareTable`` of (n, p): the commutativity check, the new faces
-and the labels.  The stage it returns is checked from its new cells, on
-ranks, only when ``chain_complex`` asks for its validity.
+ranges.  A square is its facets and its disk, ranks in the
+``SquareTable`` of (n, p), and the commutativity check, the new faces
+and the labels all work on those ranks.  The stage it returns is checked
+from its new cells, on ranks, only when ``chain_complex`` asks for its
+validity.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .core import (
     disjoint_union,
     identity_map,
 )
-from .homsearch import SquareTable
 from .textio import square_text
 
 
@@ -32,12 +32,11 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
 
     Returns (X2, incl, p2) where incl: X -> X2 is a subset inclusion and
     p2 restricts to p on X and maps each new cell by its square's disk.
-    Every square is reduced to its facets (x_0 .. x_n) and its disk b in
-    the table of (n, p); a square built from maps qualifies only if its
-    maps are exactly the maps of those ranks, and a square that does not
-    is rejected.  Each is then checked to commute on ranks, which is the
-    one condition its ranks do not give by construction: the faces of b
-    are p(x_0) .. p(x_n).  The new cell's faces are x_0 .. x_n.
+    Every square is its facets (x_0 .. x_n) and its disk b, ranks in the
+    table that the list shares, which must be over (n, p).  Each is
+    checked to commute on ranks, which is the one condition its ranks do
+    not give by construction: the faces of b are p(x_0) .. p(x_n).  The
+    new cell's faces are x_0 .. x_n.
 
     X2 is not validated here.  It gets a deferred check (``defer_report``)
     that ``chain_complex`` runs: X's report must be clean, and every new
@@ -52,23 +51,24 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     n = squares[0].n
     if p.dom != X:
         raise ValidationError("attach_cells: the projection does not start at X")
-    table = SquareTable.over(n, p, squares)
+    table = squares[0].table
     faces_b, p_top = table.faces_b[n], table.p_top
-    ranked = []
     last = None
     for k, sq in enumerate(squares):
         if sq.n != n:
             raise ValidationError(
                 f"square {k} has dimension {sq.n}, expected {n}")
-        r = sq.ranks(table)
-        if r is None and sq.attach.cod != X:
-            raise ValidationError(f"square {k}: attaching map does not land in X")
-        if r is not None and r[0] is not last:  # one attaching map's squares come together
-            last = r[0]
+        t = sq.table
+        if t is not table or k == 0:  # every table of (n, p) ranks alike
+            if t.p.dom != X:
+                raise ValidationError(f"square {k}: attaching map does not land in X")
+            if t.p != p:
+                raise ValidationError(f"square {k} was not found over the projection")
+        if sq.facets is not last:  # one attaching map's squares come together
+            last = sq.facets
             below = tuple(map(p_top.__getitem__, last))
-        if r is None or faces_b[r[1]] != below:
+        if faces_b[sq.top] != below:
             raise ValidationError(f"square {k}: attaching square does not commute")
-        ranked.append(r)
 
     ndims = max(len(X.counts), n + 1)
     counts = [X.count(d) for d in range(ndims)]
@@ -77,16 +77,16 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     cand, disk_text = table.cand_a[n - 1], table.disk_text
     last = None
     cells = []
-    for facets, top in ranked:
-        if facets is not last:
-            last = facets
+    for sq in squares:
+        if sq.facets is not last:
+            last = facets = sq.facets
             cells.append(facets)
             # facet j is the image of d_j, so it is face j of the new cell
             cell = tuple(map(cand.__getitem__, facets))
             attach = table.attach_text(facets)
         faces[n].append(cell)
-        labels[n].append(square_text(n, attach, disk_text[top]))
-    counts[n] += len(ranked)
+        labels[n].append(square_text(n, attach, disk_text[sq.top]))
+    counts[n] += len(squares)
     X2 = SimplicialSet(tuple(counts), tuple(tuple(r) for r in faces),
                        tuple(tuple(r) for r in labels))
     X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], cells))
@@ -95,7 +95,7 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
         tuple(Simplex((), SimplexRef(d, g)) for g in range(X.counts[d]))
         for d in range(len(X.counts))))
     p_assign = [list(p.assign[d]) if d < len(p.assign) else [] for d in range(ndims)]
-    p_assign[n].extend(table.cand_b[n][top] for _, top in ranked)
+    p_assign[n].extend(table.cand_b[n][sq.top] for sq in squares)
     p2 = SimplicialMap(X2, p.cod, tuple(tuple(r) for r in p_assign))
     return X2, incl, p2
 

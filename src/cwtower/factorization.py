@@ -32,7 +32,6 @@ from .homsearch import (
     AttachmentSquare,
     Budget,
     BudgetExceeded,
-    SquareTable,
     enumerate_squares,
 )
 from .colimits import attach_cells, stage_zero
@@ -72,13 +71,11 @@ def is_cellular(f) -> bool:
     dimension k, so this holds for every simplicial map; the check is
     kept executable so the variant coincidence is observable.  ``f`` is a
     simplicial map or an attaching square, which stands for its attaching
-    map; a square of a ``SquareTable`` is read off the dimensions of the
-    table's candidates, without building its map.
+    map and is read off the dimensions of its table's candidates, without
+    building that map.
     """
     if isinstance(f, AttachmentSquare):
-        if f.table is not None:
-            return f.table.cellular
-        f = f.attach
+        return f.table.cellular
     for d in range(len(f.dom.counts)):
         for g in range(f.dom.counts[d]):
             if f.assign[d][g].gen.dim > d:
@@ -210,9 +207,14 @@ def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -
 
 def _square_images(n, prev, g, T: Tower, Tp: Tower):
     """The cells of Tp's stage n that T's stage-n cells go to, by facets and disk."""
-    src = SquareTable.over(n, T.projections[n - 1], T.squares[n])
-    tgt = SquareTable.over(n, Tp.projections[n - 1], Tp.squares[n])
-    index_of = {sq.ranks(tgt): i for i, sq in enumerate(Tp.squares[n])}
+    missing = ValidationError(f"stage {n}: image square not found in target tower"
+                              " (towers are inconsistent)")
+    if not Tp.squares[n]:
+        raise missing
+    src, tgt = T.squares[n][0].table, Tp.squares[n][0].table
+    if src.p != T.projections[n - 1] or tgt.p != Tp.projections[n - 1]:
+        raise ValidationError(f"stage {n}: squares are not over the stage projection")
+    index_of = {(sq.facets, sq.top): i for i, sq in enumerate(Tp.squares[n])}
     # each candidate's image rank: the facets through prev, the disks through g
     try:
         img_a = [tgt.rank_a[n - 1][prev(s)] for s in src.cand_a[n - 1]]
@@ -222,13 +224,9 @@ def _square_images(n, prev, g, T: Tower, Tp: Tower):
     base_p = Tp.stages[n - 1].count(n)
     out = []
     for sq in T.squares[n]:
-        ranks = sq.ranks(src)
-        i = None if ranks is None else index_of.get(
-            (tuple(map(img_a.__getitem__, ranks[0])), img_b[ranks[1]]))
+        i = index_of.get((tuple(map(img_a.__getitem__, sq.facets)), img_b[sq.top]))
         if i is None:
-            raise ValidationError(
-                f"stage {n}: image square not found in target tower"
-                " (towers are inconsistent)")
+            raise missing
         out.append(Simplex((), SimplexRef(n, base_p + i)))
     return out
 
@@ -340,24 +338,29 @@ def check_intersection(X: SimplicialSet, subsets, cap, variant="all-maps",
     sides are compared inside the tower of X: the intersection of the
     stage images of the member towers must equal, exactly and at every
     stage through ``cap``, the stage image of the tower of the total
-    intersection.
+    intersection.  Every member is checked before any tower is built.
 
     Returns (ok, reports), one report dict per stage.
     """
     subsets = [set(s) for s in subsets]
     if not subsets:
         raise ValidationError("check_intersection needs at least one subset")
+    members = []
+    for i, gens in enumerate(subsets):
+        try:
+            members.append(subcomplex(X, gens))
+        except ValidationError as err:
+            raise ValidationError(f"subset {i}: {err}") from None
+    S_total, incl_total = subcomplex(X, set.intersection(*subsets))
     ambient = cw_tower(X, cap, variant, budget)
     e = empty_map(SimplicialSet.empty())
 
     member_images = []
-    for gens in subsets:
-        S, incl = subcomplex(X, gens)
+    for S, incl in members:
         T = build_tower(SimplicialSet.empty(), empty_map(S), cap, variant, budget)
         tm = induced_tower_map(e, incl, T, ambient)
         member_images.append([_image_generators(tm.stage_maps[n])
                               for n in range(cap + 1)])
-    S_total, incl_total = subcomplex(X, set.intersection(*subsets))
     T_total = build_tower(SimplicialSet.empty(), empty_map(S_total), cap,
                           variant, budget)
     tm_total = induced_tower_map(e, incl_total, T_total, ambient)

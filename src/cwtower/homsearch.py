@@ -10,12 +10,12 @@ then index, with candidate simplices ordered by degeneracy word then
 generator.
 
 By the Yoneda reduction an attaching square is its facets x_0 .. x_n
-and its disk b.  The squares of one search hold just these, as ranks
-into one ``SquareTable`` of candidate simplices, which holds the face
-tables of the candidates as ranks.  A square's lower rows, sort key and
-label are gathered from its facets' faces by one plan per n, and its
-maps are built only when they are asked for; gluing, labelling and
-induced tower maps work on the ranks.
+and its disk b, and that is the only kind of square there is: ranks into
+the one ``SquareTable`` of candidate simplices that all squares of one
+search share, which holds the face tables of the candidates as ranks.
+A square's lower rows, sort key and label are gathered from its facets'
+faces by one plan per n, and its maps are built only when they are
+asked for; gluing, labelling and induced tower maps work on the ranks.
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ class SquareTable:
 
     A square is its facets (x_0 .. x_n), ranks in ``cand_a[n - 1]``, and
     its disk b, a rank in ``cand_b[n]``.  Everything else about it is read
-    off the face tables: ``attach_rows`` gathers the attaching map from the
-    facets' Yoneda tuples, ``disk_rows`` is the Yoneda map of b, and the
+    off the face tables: ``attach_flat`` gathers the attaching map from the
+    facets' Yoneda tuples, ``yoneda_b[b]`` is the Yoneda map of b, and the
     label texts come from tokens formatted once per candidate.
     """
 
@@ -230,16 +230,6 @@ class SquareTable:
         self.faces_a = _face_ranks(A, self.cand_a, self.rank_a)
         self.faces_b = _face_ranks(B, self.cand_b, self.rank_b)
         self.p_top = [self.rank_b[n - 1][p(s)] for s in self.cand_a[n - 1]]
-
-    @classmethod
-    def over(cls, n, p: SimplicialMap, squares=()):
-        """The table of (n, p): the first square's, if it was built for
-        (n, p), else a new one."""
-        for sq in squares[:1]:
-            t = sq.table
-            if t is not None and t.n == n and t.p == p:
-                return t
-        return cls(n, p)
 
     @cached_property
     def yoneda_a(self):
@@ -263,14 +253,6 @@ class SquareTable:
         y = self.yoneda_a
         return _gather_plan(self.n)(sum(map(y.__getitem__, facets), ()))
 
-    def attach_rows(self, facets):
-        """The attaching map of ``facets``, as rank rows by dimension."""
-        return _rows(self.attach_flat(facets), self.n)[:-1]
-
-    def disk_rows(self, top):
-        """The Yoneda map of the disk ``top``, as rank rows by dimension."""
-        return _rows(self.yoneda_b[top], self.n)
-
     @cached_property
     def _yoneda_tokens_a(self):
         dims, tok = _yoneda_plan(self.n - 1)[0], _tokens(self.cand_a)
@@ -291,119 +273,54 @@ class SquareTable:
 class AttachmentSquare:
     """One commutative attaching square for an n-cell.
 
-    ``attach`` maps the boundary of Delta^n into the current stage;
-    ``disk`` maps Delta^n into the target.  The square commutes exactly
-    against the stage projection (checked by ``square_commutes``).
+    Its attaching map sends the boundary of Delta^n into the stage
+    ``table.p.dom`` and its disk map sends Delta^n into the target
+    ``table.p.cod``.  By the Yoneda reduction a square is its facets and
+    its disk: the images x_0 .. x_n of the faces d_0 .. d_n of Delta^n,
+    which fix the attaching map, held as ``facets`` (ranks in
+    ``table.cand_a[n - 1]``), and the n-simplex b that the disk map is,
+    held as ``top`` (a rank in ``table.cand_b[n]``).  The maps ``attach``
+    and ``disk`` are read off the table only when they are asked for.
 
-    By the Yoneda reduction a square is its facets and its disk: the
-    images x_0 .. x_n of the faces d_0 .. d_n of Delta^n, which fix the
-    attaching map, and the n-simplex b that the disk map is.  A square
-    from ``enumerate_squares`` holds just these, as ``facets`` (ranks in
-    ``table.cand_a[n - 1]``) and ``top`` (a rank in ``table.cand_b[n]``).
-    ``rows[d][g]``, the rank of attach's image of boundary generator d:g,
-    ``disk_rows`` likewise for the disk, and the maps ``attach`` and
-    ``disk`` are read off the table only when they are asked for.
-    ``AttachmentSquare(n, attach, disk)`` holds the maps and no table
-    (``rows`` is None); ``ranks`` reduces it to (facets, top) against a
-    table when it is used.  Equality and hashing are those of
-    (n, attach, disk) either way.
+    Two squares are equal exactly when their maps are: squares of one
+    table compare by ranks, squares of two tables by n, by stage and
+    target, and by their facet and disk simplices.
     """
 
-    def __init__(self, n, attach: SimplicialMap, disk: SimplicialMap):
-        if n < 1:
-            raise ValidationError("attaching squares exist in dimension >= 1")
-        self.n = n
-        self.table = self.facets = self.top = None
-        self.__dict__["attach"] = attach
-        self.__dict__["disk"] = disk
-
-    @classmethod
-    def of_facets(cls, table: SquareTable, facets, top):
-        """The square of ``table`` with these facets and this disk, unchecked."""
-        sq = cls.__new__(cls)
-        sq.n, sq.table, sq.facets, sq.top = table.n, table, facets, top
-        return sq
-
-    @classmethod
-    def of_ranks(cls, table: SquareTable, rows, disk_rows):
-        """The square of ``table`` whose maps have these rank rows.
-
-        The rows must be those of the square's facets (``rows[n - 1]`` in
-        reverse) and its disk (``disk_rows[n][0]``) in the table.
-        """
-        n = table.n
-        facets, top = tuple(rows[n - 1][::-1]), disk_rows[n][0]
-        sq = cls.of_facets(table, facets, top)
-        if not (len(facets) == n + 1 and 0 <= top < len(table.cand_b[n])
-                and all(0 <= x < len(table.cand_a[n - 1]) for x in facets)
-                and tuple(map(tuple, rows)) == sq.rows
-                and tuple(map(tuple, disk_rows)) == sq.disk_rows):
-            raise ValidationError("rank rows are not the faces of a square's"
-                                  " facets and disk")
-        return sq
-
-    @cached_property
-    def rows(self):
-        return None if self.table is None else self.table.attach_rows(self.facets)
-
-    @cached_property
-    def disk_rows(self):
-        return None if self.table is None else self.table.disk_rows(self.top)
+    def __init__(self, table: SquareTable, facets, top):
+        self.n, self.table, self.facets, self.top = table.n, table, facets, top
 
     @cached_property
     def attach(self) -> SimplicialMap:
-        ca = self.table.cand_a
-        return SimplicialMap(boundary_simplex(self.n), self.table.p.dom, tuple(
-            tuple(ca[d][r] for r in row) for d, row in enumerate(self.rows)))
+        t = self.table
+        rows = _rows(t.attach_flat(self.facets), self.n)[:-1]
+        return SimplicialMap(boundary_simplex(self.n), t.p.dom, tuple(
+            tuple(map(t.cand_a[d].__getitem__, row)) for d, row in enumerate(rows)))
 
     @cached_property
     def disk(self) -> SimplicialMap:
         """The Yoneda map of the disk simplex."""
-        cb = self.table.cand_b
-        return SimplicialMap(standard_simplex(self.n), self.table.p.cod, tuple(
-            tuple(cb[d][r] for r in row) for d, row in enumerate(self.disk_rows)))
-
-    def ranks(self, table: SquareTable):
-        """(facets, top) of this square in ``table``, or None if its maps
-        are not exactly the maps of such ranks: maps from the boundary of
-        Delta^n and Delta^n into the table's stage and target."""
         t = self.table
-        if t is table or (t is not None and t.n == table.n and t.p == table.p):
-            return self.facets, self.top
-        n, a, d = self.n, self.attach, self.disk
-        if (n != table.n or a.dom != boundary_simplex(n) or d.dom != standard_simplex(n)
-                or a.cod != table.p.dom or d.cod != table.p.cod):
-            return None
-        try:
-            facets = tuple(table.rank_a[n - 1][s] for s in reversed(a.assign[n - 1]))
-            top = table.rank_b[n][d.assign[n][0]]
-        except KeyError:  # an image of the wrong dimension or generator
-            return None
-        held = AttachmentSquare.of_facets(table, facets, top)
-        if (held.attach, held.disk) != (a, d):
-            return None
-        return facets, top
+        return SimplicialMap(standard_simplex(self.n), t.p.cod, tuple(
+            tuple(map(t.cand_b[d].__getitem__, row))
+            for d, row in enumerate(_rows(t.yoneda_b[self.top], self.n))))
 
-    def _key(self):
-        """The images of the top generators, which equal squares share."""
-        n, t = self.n, self.table
-        if t is not None:
-            return (tuple(t.cand_a[n - 1][x] for x in reversed(self.facets)),
-                    t.cand_b[n][self.top])
-        a, d = self.attach, self.disk
-        if a.dom == boundary_simplex(n) and d.dom == standard_simplex(n):
-            return a.assign[n - 1], d.assign[n][0]
-        return a, d
+    def _simplices(self):
+        """The facet and disk simplices, which fix the two maps."""
+        t = self.table
+        return tuple(map(t.cand_a[-1].__getitem__, self.facets)), t.cand_b[-1][self.top]
 
     def __eq__(self, other):
         if not isinstance(other, AttachmentSquare):
             return NotImplemented
-        if self.table is not None and self.table is other.table:
+        s, o = self.table, other.table
+        if s is o:
             return self.facets == other.facets and self.top == other.top
-        return (self.n, self.attach, self.disk) == (other.n, other.attach, other.disk)
+        return (self.n == other.n and s.p.dom == o.p.dom and s.p.cod == o.p.cod
+                and self._simplices() == other._simplices())
 
     def __hash__(self):
-        return hash((self.n, self._key()))
+        return hash((self.n, self._simplices()))
 
     def __repr__(self):
         return f"AttachmentSquare(n={self.n}, attach={self.attach!r}, disk={self.disk!r})"
@@ -472,5 +389,4 @@ def enumerate_squares(n, p_prev: SimplicialMap, budget: Budget | None = None):
         if matches is not None:
             found.append((attach_flat(xs), xs, matches))
     found.sort(key=itemgetter(0))
-    of_facets = AttachmentSquare.of_facets
-    return [of_facets(table, xs, b) for _, xs, matches in found for b in matches]
+    return [AttachmentSquare(table, xs, b) for _, xs, matches in found for b in matches]

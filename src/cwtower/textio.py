@@ -18,6 +18,12 @@ with an empty degeneracy word written ``(| dim:index)``.  A generator of
 dimension d lists exactly d+1 faces, in order d_0 .. d_d.  Round-trip
 (parse after print) is the identity.
 
+A square line is ``square n=<n> attach[<token> ...] disk[<token> ...]``,
+the attaching map and the disk map by their generator assignments.  It
+is read against the ``SquareTable`` of its stage: ``format_square``
+joins the table's tokens, the same path as the cell labels, and
+``parse_square`` returns the table's square.
+
 A tower directory is canonical: ``tower_files`` is the one definition of
 its bytes, and every file but ``meta.txt`` and the three inputs is a
 function of those four.  ``load_tower(path, upto=k)`` therefore parses
@@ -34,7 +40,7 @@ import re
 from functools import lru_cache
 
 from .core import Simplex, SimplexRef, SimplicialMap, SimplicialSet, validate
-from .homsearch import DEFAULT_BUDGET, AttachmentSquare
+from .homsearch import DEFAULT_BUDGET, AttachmentSquare, SquareTable
 
 FORMAT_VERSION = "v1"
 
@@ -333,30 +339,43 @@ _SQUARE_RE = re.compile(r"^square n=(\d+) attach\[(.*)\] disk\[(.*)\]$")
 _TOKENS_RE = re.compile(r"\([^)]*\)")
 
 
-def parse_square(line, stage_prev, target, line_no=None) -> AttachmentSquare:
+def parse_square(line, table: SquareTable, line_no=None) -> AttachmentSquare:
+    """The square of ``table`` that ``line`` names.
+
+    Every token must be one of the table's candidates, and the rows must
+    be the faces of the square's facets (the top row of ``attach``, in
+    reverse) and of its disk (the last token of ``disk``).
+    """
     from .core import boundary_simplex, standard_simplex
 
     m = _SQUARE_RE.match(line.strip())
     if not m:
         raise ParseError(f"malformed square line {line!r}", line_no)
     n = int(m.group(1))
-    bnd = boundary_simplex(n)
-    dsk = standard_simplex(n)
+    if n != table.n:
+        raise ParseError(f"square of dimension {n} in a table of dimension {table.n}",
+                         line_no)
 
-    def unflatten(dom, cod, text):
+    def candidate_ranks(dom, rank, text):
         toks = _TOKENS_RE.findall(text)
         if len(toks) != dom.total_generators:
             raise ParseError(
                 f"expected {dom.total_generators} assignments, got {len(toks)}",
                 line_no)
-        it = iter(toks)
-        assign = tuple(
-            tuple(parse_simplex(next(it), line_no) for _ in range(dom.counts[d]))
-            for d in range(len(dom.counts)))
-        return SimplicialMap(dom, cod, assign)
+        dims = [d for d, c in enumerate(dom.counts) for _ in range(c)]
+        try:
+            return tuple(rank[d][parse_simplex(t, line_no)] for d, t in zip(dims, toks))
+        except KeyError:
+            raise ParseError("a token is not one of the table's candidates",
+                             line_no) from None
 
-    return AttachmentSquare(n, unflatten(bnd, stage_prev, m.group(2)),
-                            unflatten(dsk, target, m.group(3)))
+    attach = candidate_ranks(boundary_simplex(n), table.rank_a, m.group(2))
+    disk = candidate_ranks(standard_simplex(n), table.rank_b, m.group(3))
+    facets, top = attach[:-n - 2:-1], disk[-1]
+    if attach != table.attach_flat(facets) or disk != table.yoneda_b[top]:
+        raise ParseError("rows are not the faces of a square's facets and disk",
+                         line_no)
+    return AttachmentSquare(table, facets, top)
 
 
 # ---------------------------------------------------------------------------

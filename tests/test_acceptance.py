@@ -24,7 +24,6 @@ from cwtower import (
     enumerate_squares,
     attach_cells,
     format_smap,
-    format_square,
     format_sset,
     homology,
     identity_map,
@@ -38,7 +37,7 @@ from cwtower import (
 from cwtower.cli import main
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion
 
-from util import SEED, oracle_enumerate_maps, random_one_dim_target
+from util import SEED, oracle_enumerate_maps, oracle_square_line, random_one_dim_target
 
 R = SimplexRef
 EDGE01 = {R(0, 0), R(0, 1), R(1, 0)}
@@ -170,7 +169,7 @@ def test_criterion_6_variant_coincidence():
             serials.append("".join(
                 format_sset(T.stages[n]) + format_smap(T.inclusions[n])
                 + format_smap(T.projections[n])
-                + "".join(format_square(sq) for sq in T.squares[n])
+                + "".join(oracle_square_line(n, sq.attach, sq.disk) for sq in T.squares[n])
                 for n in range(3)))
         ok = ok and serials[0] == serials[1]
     emit(6, "variants byte-identical on every corpus input", ok)

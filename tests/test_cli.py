@@ -7,6 +7,7 @@ import pytest
 import cwtower.factorization
 from cwtower import (
     SimplexRef,
+    SimplicialSet,
     boundary_simplex,
     cw_tower,
     enumerate_maps,
@@ -34,6 +35,13 @@ def circle_file(tmp_path):
 def point_file(tmp_path):
     p = tmp_path / "point.sset"
     p.write_text(format_sset(standard_simplex(0)))
+    return str(p)
+
+
+@pytest.fixture
+def empty_file(tmp_path):
+    p = tmp_path / "empty.sset"
+    p.write_text(format_sset(SimplicialSet.empty()))
     return str(p)
 
 
@@ -108,6 +116,12 @@ class TestBuild:
     def test_high_dim_refused_without_budget(self, point_file, tmp_path, capsys):
         assert main(["build", point_file, "--max-dim", "4",
                      "--out", str(tmp_path / "t")]) == 2
+
+    def test_high_dim_needs_a_budget(self, empty_file, tmp_path, capsys):
+        argv = ["build", empty_file, "--out", str(tmp_path / "t"), "--max-dim", "4"]
+        assert main(argv) == 2
+        assert "explicit --budget" in capsys.readouterr().err
+        assert main(argv + ["--budget", "10"]) == 0
 
     def test_budget_exhaustion_exit_3(self, point_file, tmp_path, capsys):
         code = main(["build", point_file, "--out", str(tmp_path / "t"),
@@ -239,6 +253,20 @@ class TestVerify:
 
     def test_missing_family_exit_2(self, circle_file, capsys):
         assert main(["verify", "--suite", "intersect", circle_file]) == 2
+
+    def test_high_dim_needs_a_budget(self, empty_file, capsys):
+        argv = ["verify", "--suite", "variant", empty_file, "--max-dim", "4"]
+        assert main(argv) == 2
+        assert "explicit --budget" in capsys.readouterr().err
+        assert main(argv + ["--budget", "10"]) == 0
+
+    def test_family_not_face_closed_exit_2(self, circle_file, tmp_path, capsys):
+        # a budget of 0 makes any build exit 3: the family is refused first
+        fam = tmp_path / "family.txt"
+        fam.write_text("subset 0:0 0:1 1:0\nsubset 1:1\n")
+        assert main(["verify", "--suite", "intersect", circle_file, str(fam),
+                     "--max-dim", "4", "--budget", "0"]) == 2
+        assert "error: subset 1: subset is not face-closed" in capsys.readouterr().err
 
     def test_check_failure_exit_1(self, tmp_path, capsys):
         # collapse circle -> point is not a subcomplex inclusion

@@ -26,7 +26,7 @@ from cwtower import (
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion
 from cwtower.homsearch import SquareTable
 
-from util import oracle_enumerate_squares, vertex_with_loop
+from util import assert_stage_glues_oracle, oracle_enumerate_squares, vertex_with_loop
 
 
 def point_projection(X):
@@ -86,42 +86,40 @@ class TestAttachCells:
         squares = enumerate_squares(1, p)
         other = SimplicialSet.build([2], [[(), ()]])
         q = SimplicialMap(X, other, ((Simplex((), SimplexRef(0, 1)),),))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="square 0 was not found over the projection"):
             attach_cells(X, squares, q)  # squares were built over p, not q
 
     def test_mismatched_disk_rejected(self):
-        # same domains and codomains as a real square, but the disk's
-        # boundary is not the image of the attaching map
+        # a square of a second search over the same projection, with the
+        # attaching map of one real square and the disk of another
         T = cw_tower(boundary_simplex(2), 1)
         p = T.projections[0]
         good = T.squares[1]
-        bad = AttachmentSquare(1, good[0].attach, good[-1].disk)
-        assert not square_commutes(bad, p)
-        with pytest.raises(ValidationError, match="does not commute"):
+        again = enumerate_squares(1, p)[0].table
+        bad = AttachmentSquare(again, good[0].facets, good[-1].top)
+        assert again is not good[0].table and not square_commutes(bad, p)
+        with pytest.raises(ValidationError, match="square 1: attaching square does not commute"):
             attach_cells(T.stages[0], good[:1] + [bad], p)
-
 
     @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
                                    boundary_simplex(2), standard_simplex(2)],
                              ids=["point", "interval", "circle", "disk"])
     def test_map_built_squares_glue_like_ranked_ones(self, B):
-        # squares holding only their maps are ranked against the table of
-        # (n, p) inside attach_cells and give the same stage
+        # the generic search's squares, pairs of maps, are the cells of the
+        # stage in order; gluing the ranked squares again gives the same stage
         T = cw_tower(B, 3)
         for n in range(1, 4):
             X, p = T.stages[n - 1], T.projections[n - 1]
-            oracle = oracle_enumerate_squares(n, p)
-            assert all(sq.table is None for sq in oracle)
-            got = attach_cells(X, oracle, p)
-            assert got == attach_cells(X, T.squares[n], p), f"stage {n}"
-            assert got == (T.stages[n], T.inclusions[n], T.projections[n])
+            assert_stage_glues_oracle(T, n, oracle_enumerate_squares(n, p))
+            got = attach_cells(X, T.squares[n], p)
+            assert got == (T.stages[n], T.inclusions[n], T.projections[n]), f"stage {n}"
 
     def test_ranked_square_with_another_disk_rejected(self):
         T = cw_tower(boundary_simplex(2), 1)
         p = T.projections[0]
         good = T.squares[1]
         assert good[0].table is good[-1].table
-        bad = AttachmentSquare.of_ranks(good[0].table, good[0].rows, good[-1].disk_rows)
+        bad = AttachmentSquare(good[0].table, good[0].facets, good[-1].top)
         assert not square_commutes(bad, p)
         with pytest.raises(ValidationError, match="square 1: attaching square does not commute"):
             attach_cells(T.stages[0], good[:1] + [bad], p)
@@ -133,23 +131,13 @@ class TestAttachCells:
         with pytest.raises(ValidationError, match="does not land in X"):
             attach_cells(P.stages[0], T.squares[1][:1], P.projections[0])
 
-
-    @pytest.mark.parametrize("which", ["attach", "disk"])
-    def test_map_built_square_off_its_facets_rejected(self, which):
-        # a square built from maps whose top images are a real square's but
-        # whose vertex row is not their faces: its ranks would commute, its
-        # maps do not
-        T = cw_tower(boundary_simplex(2), 2)
-        X, p = T.stages[1], T.projections[1]
-        good = T.squares[2][0]
-        maps = {"attach": good.attach, "disk": good.disk}
-        m = maps[which]
-        moved = tuple(Simplex((), SimplexRef(0, (v.gen.index + 1) % 3)) for v in m.assign[0])
-        maps[which] = SimplicialMap(m.dom, m.cod, (moved,) + m.assign[1:])
-        bad = AttachmentSquare(2, maps["attach"], maps["disk"])
-        assert not square_commutes(bad, p)
-        with pytest.raises(ValidationError, match="square 0: attaching square does not commute"):
-            attach_cells(X, [bad], p)
+    def test_squares_of_two_searches_glue_together(self):
+        # two tables of one (n, p) rank alike
+        T = cw_tower(boundary_simplex(2), 1)
+        X, p = T.stages[0], T.projections[0]
+        mixed = T.squares[1][:1] + enumerate_squares(1, p)[1:]
+        assert mixed[0].table is not mixed[1].table
+        assert attach_cells(X, mixed, p) == (T.stages[1], T.inclusions[1], T.projections[1])
 
 
 def full_walk(X):
@@ -158,12 +146,10 @@ def full_walk(X):
 
 
 def broken_point_stage():
-    """Stage 3 of the point tower glued from one map-built square whose
-    facets break d_i x_j = d_{j-1} x_i; attach_cells accepts it, since
-    its disk commutes."""
+    """Stage 3 of the point tower glued from one square whose facets break
+    d_i x_j = d_{j-1} x_i; attach_cells accepts it, since its disk commutes."""
     T = cw_tower(standard_simplex(0), 2)
-    ranked = AttachmentSquare.of_facets(SquareTable(3, T.projections[2]), (0, 0, 0, 1), 0)
-    sq = AttachmentSquare(3, ranked.attach, ranked.disk)
+    sq = AttachmentSquare(SquareTable(3, T.projections[2]), (0, 0, 0, 1), 0)
     return attach_cells(T.stages[2], [sq], T.projections[2])
 
 

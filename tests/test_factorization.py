@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cwtower.factorization
 from cwtower import (
     SimplicialSet,
     ValidationError,
@@ -11,6 +14,7 @@ from cwtower import (
     compose_tower_maps,
     cw_tower,
     empty_map,
+    enumerate_maps,
     format_smap,
     format_square,
     format_sset,
@@ -30,6 +34,7 @@ from cwtower.factorization import is_cellular
 from cwtower.homsearch import AttachmentSquare
 
 from util import oracle_induced_stage_maps
+from util import random_one_dim_target
 from util import vertex_with_loop
 
 R = SimplexRef
@@ -205,6 +210,23 @@ class TestFunctorLaws:
             tm = induced_tower_map(f, g, T, Tp)
             assert tm.stage_maps == oracle_induced_stage_maps(f, g, T, Tp)
 
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_laws_on_random_maps(self, rng):
+        # random maps g: B -> B' and h: B' -> B'' between random 1-dimensional
+        # targets, at cap 2
+        B, Bp, Bpp = (random_one_dim_target(rng) for _ in range(3))
+        g, h = rng.choice(enumerate_maps(B, Bp)), rng.choice(enumerate_maps(Bp, Bpp))
+        T, Tp, Tpp = (cw_tower(X, 2) for X in (B, Bp, Bpp))
+        e = empty_map(SimplicialSet.empty())
+        tm = induced_tower_map(e, g, T, Tp)
+        assert tm.stage_maps == oracle_induced_stage_maps(e, g, T, Tp)
+        ident = induced_tower_map(e, identity_map(B), T, T)
+        assert ident.stage_maps == identity_tower_map(T).stage_maps
+        direct = induced_tower_map(e, compose(h, g), T, Tpp)
+        assert compose_tower_maps(induced_tower_map(e, h, Tp, Tpp), tm).stage_maps == \
+            direct.stage_maps
+
     def test_variant_mismatch_rejected(self):
         B = standard_simplex(0)
         T = cw_tower(B, 1, "all-maps")
@@ -274,9 +296,23 @@ class TestIntersectionTheorem:
                                    [EDGE01, EDGE02, EDGE12], 2)
         assert ok
 
-    def test_non_face_closed_rejected(self):
-        with pytest.raises(ValidationError):
-            check_intersection(boundary_simplex(2), [{R(1, 0)}], 1)
+    @pytest.fixture
+    def no_builds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower was built")
+
+        monkeypatch.setattr(cwtower.factorization, "cw_tower", refuse)
+        monkeypatch.setattr(cwtower.factorization, "build_tower", refuse)
+
+    def test_non_face_closed_rejected(self, no_builds):
+        with pytest.raises(ValidationError, match="^subset 1: subset is not face-closed:"
+                           " face 0 of 1:0 escapes"):
+            check_intersection(boundary_simplex(2), [EDGE01, {R(1, 0)}], 4)
+
+    def test_unknown_generator_rejected(self, no_builds):
+        with pytest.raises(ValidationError, match="^subset 0: .*generator 1:9 not in"
+                           " ambient complex"):
+            check_intersection(boundary_simplex(2), [EDGE01 | {R(1, 9)}, EDGE02], 4)
 
 
 def with_stage_map(tm, n, edit):
@@ -385,4 +421,4 @@ class TestNoPerSquareMaps:
         T = cw_tower(standard_simplex(1), 2)
         for sq in T.squares[2]:
             assert is_cellular(sq) and "attach" not in vars(sq)
-            assert is_cellular(AttachmentSquare(2, sq.attach, sq.disk))
+            assert is_cellular(sq.attach)

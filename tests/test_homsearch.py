@@ -19,16 +19,18 @@ from cwtower import (
     standard_simplex,
     subcomplex,
 )
-from cwtower.colimits import attach_cells
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, face_closure_errors
-from cwtower.core import ValidationError, validate
-from cwtower.homsearch import AttachmentSquare, Budget, BudgetExceeded, simplex_candidates
+from cwtower.core import validate
+from cwtower.homsearch import Budget, BudgetExceeded, simplex_candidates
 
 from util import (
     SEED,
+    assert_stage_glues_oracle,
     oracle_enumerate_maps,
     oracle_enumerate_squares,
+    oracle_square_line,
     random_one_dim_target,
+    square_maps,
     vertex_with_loop,
 )
 
@@ -53,7 +55,7 @@ def assert_squares_match_oracle(B, cap):
     T = cw_tower(B, cap)
     for n in range(1, cap + 1):
         p = T.projections[n - 1]
-        assert T.squares[n] == oracle_enumerate_squares(n, p), f"stage {n}"
+        assert square_maps(T.squares[n]) == oracle_enumerate_squares(n, p), f"stage {n}"
 
 
 class TestEnumerateMaps:
@@ -175,14 +177,19 @@ class TestEnumerateSquares:
         X = standard_simplex(0)
         p = SimplicialMap(X, vertex_with_loop(), ((Simplex((), SimplexRef(0, 0)),),))
         squares = enumerate_squares(1, p)
-        assert len(squares) == 2 and squares[0].rows == squares[1].rows
+        assert len(squares) == 2 and squares[0].facets == squares[1].facets
         assert squares[0] != squares[1]
         for sq, again in zip(squares, enumerate_squares(1, p)):
-            as_maps = AttachmentSquare(1, sq.attach, sq.disk)
-            assert as_maps.table is None and sq.table is not again.table
-            assert sq == again == as_maps
-            assert hash(sq) == hash(again) == hash(as_maps)
+            # two searches, two tables: compared by their facet and disk simplices
+            assert sq.table is not again.table
+            assert sq == again and hash(sq) == hash(again)
+            assert (sq.attach, sq.disk) == (again.attach, again.disk)
             assert square_commutes(sq, p)
+        # the same simplices over another target are another square
+        (pt_sq,) = enumerate_squares(1, enumerate_maps(X, standard_simplex(0))[0])
+        twin = next(sq for sq in squares if sq.disk.assign == pt_sq.disk.assign)
+        assert twin.attach == pt_sq.attach and twin.disk != pt_sq.disk
+        assert twin != pt_sq
 
     def test_join_steps_charged_to_shared_budget(self):
         X = vertex_with_loop()
@@ -199,8 +206,6 @@ class TestEnumerateSquares:
 
     def test_count_monotone_under_inclusion(self):
         # squares over a subcomplex map to distinct squares over the ambient
-        from cwtower import cw_tower
-        from cwtower.homsearch import AttachmentSquare
         from cwtower import SimplicialSet, empty_map, induced_tower_map
 
         Bp = boundary_simplex(2)
@@ -209,11 +214,10 @@ class TestEnumerateSquares:
         Tp = cw_tower(Bp, 2)
         tm = induced_tower_map(empty_map(SimplicialSet.empty()), incl, T, Tp)
         for n in (1, 2):
-            target_keys = {format_square(sq) for sq in Tp.squares[n]}
+            target_keys = {oracle_square_line(n, sq.attach, sq.disk) for sq in Tp.squares[n]}
             images = [
-                format_square(AttachmentSquare(
-                    n, compose(tm.stage_maps[n - 1], sq.attach),
-                    compose(incl, sq.disk)))
+                oracle_square_line(n, compose(tm.stage_maps[n - 1], sq.attach),
+                                   compose(incl, sq.disk))
                 for sq in T.squares[n]
             ]
             assert len(set(images)) == len(images)
@@ -259,40 +263,20 @@ class TestRandomTargets:
         assert not validate(B)
         T = cw_tower(B, 2)
         for n in (1, 2):
-            X, p = T.stages[n - 1], T.projections[n - 1]
-            oracle = oracle_enumerate_squares(n, p)
-            assert T.squares[n] == oracle, f"stage {n}"
-            assert attach_cells(X, oracle, p) == \
-                (T.stages[n], T.inclusions[n], T.projections[n]), f"stage {n}"
+            oracle = oracle_enumerate_squares(n, T.projections[n - 1])
+            assert square_maps(T.squares[n]) == oracle, f"stage {n}"
+            assert_stage_glues_oracle(T, n, oracle)
 
 
 class TestFacetsAndDisk:
     def test_square_is_its_facets_and_disk(self):
-        # the rows of a ranked square are read off its facets' faces and
-        # its disk's faces, and give the maps of the generic search
+        # a square's maps are read off its facets' faces and its disk's
+        # faces, and are the maps of the generic search
         T = cw_tower(standard_simplex(1), 3)
         for n in (1, 2, 3):
             for sq in T.squares[n]:
-                assert sq.rows[n - 1] == sq.facets[::-1]
-                assert sq.disk_rows[n] == (sq.top,)
-                assert AttachmentSquare.of_ranks(sq.table, sq.rows, sq.disk_rows) == sq
+                t = sq.table
+                assert sq.attach.assign[n - 1] == tuple(t.cand_a[n - 1][x] for x in sq.facets[::-1])
+                assert sq.disk.assign[n] == (t.cand_b[n][sq.top],)
             p = T.projections[n - 1]
-            assert [(sq.attach, sq.disk) for sq in T.squares[n]] == \
-                [(sq.attach, sq.disk) for sq in oracle_enumerate_squares(n, p)]
-
-    def test_of_ranks_refuses_rows_off_the_faces(self):
-        T = cw_tower(standard_simplex(0), 3)
-        sq = T.squares[3][0]
-        rows, disk_rows = sq.rows, sq.disk_rows
-        other = next(s for s in T.squares[3] if s.rows[1] != rows[1])
-        lower = (rows[0], other.rows[1], rows[2])
-        with pytest.raises(ValidationError, match="not the faces"):
-            AttachmentSquare.of_ranks(sq.table, lower, disk_rows)
-        wrong_top = disk_rows[:-1] + ((len(sq.table.cand_b[3]),),)
-        with pytest.raises(ValidationError, match="not the faces"):
-            AttachmentSquare.of_ranks(sq.table, rows, wrong_top)
-        # the disk rows of the interval's edge, with its two vertices swapped
-        edge = next(s for s in cw_tower(standard_simplex(1), 1).squares[1]
-                    if s.disk_rows[0] == (0, 1))
-        with pytest.raises(ValidationError, match="not the faces"):
-            AttachmentSquare.of_ranks(edge.table, edge.rows, ((1, 0), edge.disk_rows[1]))
+            assert square_maps(T.squares[n]) == oracle_enumerate_squares(n, p)

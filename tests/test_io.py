@@ -9,6 +9,7 @@ from cwtower import (
     BudgetExceeded,
     Simplex,
     SimplexRef,
+    SimplicialMap,
     SimplicialSet,
     boundary_inclusion,
     boundary_simplex,
@@ -34,7 +35,7 @@ from cwtower.textio import (
     tower_files,
 )
 
-from util import SEED, random_one_dim_target, vertex_with_loop
+from util import SEED, oracle_square_line, random_one_dim_target, vertex_with_loop
 
 
 class TestSimplexTokens:
@@ -142,16 +143,44 @@ class TestSquareFormat:
     def test_round_trip(self):
         T = cw_tower(standard_simplex(0), 2)
         for n in (1, 2):
-            prev, B = T.stages[n - 1], T.B
             for sq in T.squares[n]:
                 line = format_square(sq)
-                assert parse_square(line, prev, B) == sq
-                assert format_square(parse_square(line, prev, B)) == line
+                assert line == oracle_square_line(n, sq.attach, sq.disk)
+                assert parse_square(line, sq.table) == sq
+                assert format_square(parse_square(line, sq.table)) == line
 
     def test_bad_line(self):
-        T = cw_tower(standard_simplex(0), 1)
-        with pytest.raises(ParseError):
-            parse_square("square n=1 attach[] oops[]", T.stages[0], T.B)
+        T = cw_tower(standard_simplex(0), 2)
+        table = T.squares[1][0].table
+        with pytest.raises(ParseError, match="malformed square line"):
+            parse_square("square n=1 attach[] oops[]", table)
+        with pytest.raises(ParseError, match="square of dimension 2 in a table of dimension 1"):
+            parse_square(format_square(T.squares[2][0]), table)
+        with pytest.raises(ParseError, match="expected 2 assignments, got 1"):
+            parse_square("square n=1 attach[(|0:0)] disk[(|0:0) (|0:0) (s_0|0:0)]", table)
+
+    def test_refuses_rows_off_the_faces(self):
+        # edited lines of real squares: each token is a simplex of the
+        # right dimension, but the line names no square of the table
+        T = cw_tower(standard_simplex(0), 3)
+        sq = T.squares[3][0]
+        a, d = sq.attach, sq.disk
+        other = next(s for s in T.squares[3] if s.attach.assign[1] != a.assign[1])
+        lower = SimplicialMap(a.dom, a.cod, (a.assign[0], other.attach.assign[1], a.assign[2]))
+        with pytest.raises(ParseError, match="not the faces"):
+            parse_square(oracle_square_line(3, lower, d), sq.table)
+        # a disk on a generator the target does not have
+        away = SimplicialMap(d.dom, d.cod, d.assign[:-1] + ((Simplex((), SimplexRef(3, 0)),),))
+        with pytest.raises(ParseError, match="not one of the table's candidates"):
+            parse_square(oracle_square_line(3, a, away), sq.table)
+        # the interval's edge as a disk, with its two vertices swapped
+        edge = next(s for s in cw_tower(standard_simplex(1), 1).squares[1]
+                    if s.disk.assign[1] == (Simplex((), SimplexRef(1, 0)),))
+        vs = edge.disk.assign[0]
+        swapped = SimplicialMap(edge.disk.dom, edge.disk.cod, (vs[::-1], edge.disk.assign[1]))
+        assert vs[0] != vs[1]
+        with pytest.raises(ParseError, match="not the faces"):
+            parse_square(oracle_square_line(1, edge.attach, swapped), edge.table)
 
 
 # sha256 of the cap-3 tower directories as written when squares were found
@@ -298,7 +327,7 @@ class TestReplay:
         files = dict(tower_files(T))
         for n in (1, 2):
             assert files[f"squares_{n}.manifest"] == "".join(
-                format_square(sq) + "\n" for sq in T.squares[n])
+                oracle_square_line(n, sq.attach, sq.disk) + "\n" for sq in T.squares[n])
         for name, text in files.items():
             assert (path / name).read_text() == text, name
 

@@ -3,7 +3,6 @@
 from itertools import product
 
 from cwtower import (
-    AttachmentSquare,
     Simplex,
     SimplexRef,
     SimplicialMap,
@@ -16,6 +15,7 @@ from cwtower import (
     standard_simplex,
 )
 from cwtower.homsearch import simplex_candidates
+from cwtower.textio import format_simplex
 
 SEED = 20240817
 
@@ -47,15 +47,40 @@ def oracle_enumerate_squares(n, p_prev):
 
     Every map of the boundary of Delta^n into the stage is paired with
     every map of Delta^n into the target that restricts to it over
-    p_prev, in (attach, disk) order: the canonical square order.
+    p_prev, in (attach, disk) order: the canonical square order.  A square
+    is the pair of maps (attach, disk).
     """
     incl = boundary_inclusion(n)
     by_restriction = {}
     for d in enumerate_maps(standard_simplex(n), p_prev.cod):
         by_restriction.setdefault(compose(d, incl), []).append(d)
-    return [AttachmentSquare(n, a, d)
+    return [(a, d)
             for a in enumerate_maps(boundary_simplex(n), p_prev.dom)
             for d in by_restriction.get(compose(p_prev, a), ())]
+
+
+def square_maps(squares):
+    """The (attach, disk) map pairs of ranked squares, to compare with the oracle."""
+    return [(sq.attach, sq.disk) for sq in squares]
+
+
+def oracle_square_line(n, attach, disk):
+    """The line of the square (attach, disk), formatted from its two maps
+    token by token, independent of the table tokens behind the labels."""
+    def tokens(f):
+        return " ".join(format_simplex(s) for row in f.assign for s in row)
+    return f"square n={n} attach[{tokens(attach)}] disk[{tokens(disk)}]"
+
+
+def assert_stage_glues_oracle(T, n, oracle):
+    """Stage n of T has one new cell per oracle square, in order: its faces
+    are the attaching map's images of d_0 .. d_n and its projection is the
+    disk's top simplex."""
+    X, new = T.stages[n], len(oracle)
+    assert X.count(n) - T.stages[n - 1].count(n) == new, f"stage {n}"
+    if new:
+        assert list(X.faces[n][-new:]) == [a.assign[n - 1][::-1] for a, _ in oracle]
+        assert list(T.projections[n].assign[n][-new:]) == [d.assign[n][0] for _, d in oracle]
 
 
 def oracle_induced_stage_maps(f, g, T, Tp):
