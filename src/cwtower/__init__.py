@@ -19,7 +19,6 @@ from .core import (
     boundary_simplex,
     compose,
     degenerate,
-    disjoint_union,
     empty_map,
     face,
     identity_map,

@@ -1,9 +1,11 @@
-"""Batch cell attachment along boundary inclusions, and the stage-0 coproduct.
+"""Batch cell attachment along boundary inclusions, and stage 0.
 
-``attach_cells`` glues one new nondegenerate n-generator per attaching
-square, appended after the existing generators in list order, so the
-construction is deterministic and stage subsets are literal index
-ranges.  A square is its facets and its disk, ranks in the
+A tower only appends.  ``stage_zero`` appends one vertex per vertex of
+the target after A's generators, and ``attach_cells`` appends one new
+nondegenerate n-generator per attaching square after the existing
+generators, in list order, so the construction is deterministic, stage
+subsets are literal index ranges, and every stage inclusion is
+``core.inclusion``.  A square is its facets and its disk, ranks in the
 ``SquareTable`` of (n, p), and the commutativity check, the new faces
 and the labels all work on those ranks.  The stage it returns is checked
 from its new cells, on ranks, only when ``chain_complex`` asks for its
@@ -21,8 +23,9 @@ from .core import (
     SimplicialMap,
     SimplicialSet,
     ValidationError,
-    disjoint_union,
-    identity_map,
+    appended,
+    inclusion,
+    with_generators,
 )
 from .textio import square_text
 
@@ -30,8 +33,9 @@ from .textio import square_text
 def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     """Attach one n-cell per square to X, over the projection p: X -> B.
 
-    Returns (X2, incl, p2) where incl: X -> X2 is a subset inclusion and
-    p2 restricts to p on X and maps each new cell by its square's disk.
+    Returns (X2, incl, p2).  A tower only appends: X2 is X with the new
+    n-cells after its generators, so incl is ``inclusion(X, X2)``, and p2
+    is p with the new cells' disks appended.
     Every square is its facets (x_0 .. x_n) and its disk b, ranks in the
     table that the list shares, which must be over (n, p).  Each is
     checked to commute on ranks, which is the one condition its ranks do
@@ -47,13 +51,15 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     """
     squares = list(squares)
     if not squares:
-        return X, identity_map(X), p
+        return X, inclusion(X, X), p
     n = squares[0].n
     if p.dom != X:
         raise ValidationError("attach_cells: the projection does not start at X")
     table = squares[0].table
     faces_b, p_top = table.faces_b[n], table.p_top
+    cand, disk_text = table.cand_a[n - 1], table.disk_text
     last = None
+    cells, faces, labels = [], [], []
     for k, sq in enumerate(squares):
         if sq.n != n:
             raise ValidationError(
@@ -65,39 +71,21 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
             if t.p != p:
                 raise ValidationError(f"square {k} was not found over the projection")
         if sq.facets is not last:  # one attaching map's squares come together
-            last = sq.facets
-            below = tuple(map(p_top.__getitem__, last))
-        if faces_b[sq.top] != below:
-            raise ValidationError(f"square {k}: attaching square does not commute")
-
-    ndims = max(len(X.counts), n + 1)
-    counts = [X.count(d) for d in range(ndims)]
-    faces = [list(X.faces[d]) if d < len(X.counts) else [] for d in range(ndims)]
-    labels = [list(X.labels[d]) if d < len(X.counts) else [] for d in range(ndims)]
-    cand, disk_text = table.cand_a[n - 1], table.disk_text
-    last = None
-    cells = []
-    for sq in squares:
-        if sq.facets is not last:
             last = facets = sq.facets
+            below = tuple(map(p_top.__getitem__, facets))
             cells.append(facets)
             # facet j is the image of d_j, so it is face j of the new cell
             cell = tuple(map(cand.__getitem__, facets))
             attach = table.attach_text(facets)
-        faces[n].append(cell)
-        labels[n].append(square_text(n, attach, disk_text[sq.top]))
-    counts[n] += len(squares)
-    X2 = SimplicialSet(tuple(counts), tuple(tuple(r) for r in faces),
-                       tuple(tuple(r) for r in labels))
+        if faces_b[sq.top] != below:
+            raise ValidationError(f"square {k}: attaching square does not commute")
+        faces.append(cell)
+        labels.append(square_text(n, attach, disk_text[sq.top]))
+    X2 = with_generators(X, n, faces, labels)
     X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], cells))
-
-    incl = SimplicialMap(X, X2, tuple(
-        tuple(Simplex((), SimplexRef(d, g)) for g in range(X.counts[d]))
-        for d in range(len(X.counts))))
-    p_assign = [list(p.assign[d]) if d < len(p.assign) else [] for d in range(ndims)]
-    p_assign[n].extend(table.cand_b[n][sq.top] for sq in squares)
-    p2 = SimplicialMap(X2, p.cod, tuple(tuple(r) for r in p_assign))
-    return X2, incl, p2
+    p2 = SimplicialMap(X2, p.cod, appended(
+        p.assign, n, [table.cand_b[n][sq.top] for sq in squares]))
+    return X2, inclusion(X, X2), p2
 
 
 @cache
@@ -126,21 +114,17 @@ def _attached_report(X, faces, cells, X2):
 
 
 def stage_zero(A: SimplicialSet, f: SimplicialMap):
-    """The coproduct of A with one new vertex per vertex of the target.
+    """A with one new vertex appended per vertex of the target.
 
     Maps of a point into B are exactly the vertices of B, so stage 0
-    adjoins one labeled vertex per vertex of B.  Returns (A0, incl, p0).
+    adjoins one labeled vertex per vertex of B.  A tower only appends, so
+    these come after A's generators and A's inclusion is
+    ``inclusion(A, A0)``.  Returns (A0, incl, p0).
     """
     if f.dom != A:
         raise ValidationError("stage_zero: map does not start at A")
-    B = f.cod
-    points = SimplicialSet.build(
-        [B.count(0)], [[() for _ in range(B.count(0))]],
-        [[f"point->{b}" for b in range(B.count(0))]])
-    A0, iA, iP = disjoint_union(A, points)
-    p_assign = [list(f.assign[d]) if d < len(f.assign) else []
-                for d in range(len(A0.counts))]
-    for b in range(B.count(0)):
-        p_assign[0].append(Simplex((), SimplexRef(0, b)))
-    p0 = SimplicialMap(A0, B, tuple(tuple(r) for r in p_assign))
-    return A0, iA, p0
+    nb = f.cod.count(0)
+    A0 = with_generators(A, 0, [()] * nb, [f"point->{b}" for b in range(nb)])
+    p0 = SimplicialMap(A0, f.cod, appended(
+        f.assign, 0, [Simplex((), SimplexRef(0, b)) for b in range(nb)]))
+    return A0, inclusion(A, A0), p0

@@ -299,13 +299,46 @@ class SimplicialMap:
         object.__setattr__(self, "assign", assign)
 
     def __call__(self, s: Simplex) -> Simplex:
-        return degenerate(self.assign[s.gen.dim][s.gen.index], s.word)
+        """f(s); a generator's image is the stored one, not a copy."""
+        y = self.assign[s.gen.dim][s.gen.index]
+        return degenerate(y, s.word) if s.word else y
+
+
+# ---------------------------------------------------------------------------
+# Appending generators
+# ---------------------------------------------------------------------------
+#
+# Every stage of a tower is the one below it with generators appended
+# after the old ones, so a stage inclusion sends each generator to the
+# generator of the same index.  These three helpers are that one fact.
+
+def inclusion(X: SimplicialSet, Y: SimplicialSet) -> SimplicialMap:
+    """The map X -> Y that sends every generator of X to the generator of
+    Y with the same index: X's generators are Y's first ones."""
+    return SimplicialMap(X, Y, tuple(
+        tuple(Simplex((), SimplexRef(d, g)) for g in range(c))
+        for d, c in enumerate(X.counts)))
+
+
+def appended(rows, d, new):
+    """The per-dimension table ``rows`` with ``new`` added at the end of row
+    d, empty rows filling in below d; ``rows`` itself when ``new`` is empty."""
+    new = tuple(new)
+    if not new:
+        return rows
+    rows = tuple(rows) + ((),) * (d + 1 - len(rows))
+    return rows[:d] + (rows[d] + new,) + rows[d + 1:]
+
+
+def with_generators(X: SimplicialSet, d, faces, labels) -> SimplicialSet:
+    """X with new d-generators after its own, with these face tuples and
+    labels; the counts are read off the face rows."""
+    faces = appended(X.faces, d, faces)
+    return SimplicialSet(tuple(map(len, faces)), faces, appended(X.labels, d, labels))
 
 
 def identity_map(X: SimplicialSet) -> SimplicialMap:
-    assign = [[Simplex((), SimplexRef(d, g)) for g in range(X.counts[d])]
-              for d in range(len(X.counts))]
-    return SimplicialMap(X, X, tuple(tuple(r) for r in assign))
+    return inclusion(X, X)
 
 
 def empty_map(B: SimplicialSet) -> SimplicialMap:
@@ -416,45 +449,12 @@ def boundary_simplex(n) -> SimplicialSet:
 @cache
 def boundary_inclusion(n) -> SimplicialMap:
     """The canonical inclusion of the boundary into Delta^n."""
-    bnd = boundary_simplex(n)
-    full = standard_simplex(n)
-    assign = tuple(tuple(Simplex((), SimplexRef(d, g)) for g in range(bnd.counts[d]))
-                   for d in range(len(bnd.counts)))
-    return SimplicialMap(bnd, full, assign)
+    return inclusion(boundary_simplex(n), standard_simplex(n))
 
 
 # ---------------------------------------------------------------------------
-# Subset algebra and disjoint unions
+# Subset algebra
 # ---------------------------------------------------------------------------
-
-def disjoint_union(X: SimplicialSet, Y: SimplicialSet):
-    """The coproduct X + Y with its two inclusions."""
-    ndims = max(len(X.counts), len(Y.counts))
-    counts = [X.count(d) + Y.count(d) for d in range(ndims)]
-    faces = []
-    labels = []
-    for d in range(ndims):
-        frow = [X.faces[d][g] for g in range(X.count(d))] if d < len(X.counts) else []
-        lrow = [X.labels[d][g] for g in range(X.count(d))] if d < len(X.counts) else []
-        for g in range(Y.count(d)):
-            if d == 0:
-                frow.append(())
-            else:
-                frow.append(tuple(
-                    Simplex(s.word, SimplexRef(s.gen.dim, s.gen.index + X.count(s.gen.dim)))
-                    for s in Y.faces[d][g]))
-            lrow.append(Y.labels[d][g])
-        faces.append(tuple(frow))
-        labels.append(tuple(lrow))
-    Z = SimplicialSet(tuple(counts), tuple(faces), tuple(labels))
-    iX = SimplicialMap(X, Z, tuple(
-        tuple(Simplex((), SimplexRef(d, g)) for g in range(X.counts[d]))
-        for d in range(len(X.counts))))
-    iY = SimplicialMap(Y, Z, tuple(
-        tuple(Simplex((), SimplexRef(d, g + X.count(d))) for g in range(Y.counts[d]))
-        for d in range(len(Y.counts))))
-    return Z, iX, iY
-
 
 def face_closure_errors(X: SimplicialSet, gens):
     """Violations of face-closedness of a generator subset of X."""

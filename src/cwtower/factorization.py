@@ -9,7 +9,7 @@ checks literal set operations on generator indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     Simplex,
@@ -17,8 +17,8 @@ from .core import (
     SimplicialMap,
     SimplicialSet,
     ValidationError,
+    appended,
     compose,
-    degenerate,
     empty_map,
     face,
     identity_map,
@@ -43,10 +43,17 @@ VARIANTS = ("all-maps", "cellular")
 class Tower:
     """The staged factorization of f: A -> B, truncated at ``cap``.
 
-    ``stages[n]`` is A_n, ``inclusions[n]`` is the subset inclusion
-    A_{n-1} -> A_n (with A_{-1} = A), ``projections[n]`` is p_n: A_n -> B,
-    and ``squares[n]`` is the ordered attaching-square list of stage n
-    (``squares[0]`` is empty).
+    ``stages[n]`` is A_n, ``projections[n]`` is p_n: A_n -> B, and
+    ``squares[n]`` is the ordered attaching-square list of stage n
+    (``squares[0]`` is empty).  A tower only appends: A_n is A_{n-1} with
+    new generators after the old ones (A_{-1} = A), so ``inclusions[n]``
+    is ``inclusion(stages[n-1], stages[n])``, and p_n is p_{n-1} with
+    the new cells' images appended.
+
+    Equality leaves the squares out: cell k of stage n has its square's
+    facets as faces and its disk as projection, so the stages and the
+    projections already fix the squares, and comparing squares of two
+    towers would compare the two stages once per pair of squares.
     """
 
     A: SimplicialSet
@@ -57,7 +64,7 @@ class Tower:
     stages: list
     inclusions: list
     projections: list
-    squares: list
+    squares: list = field(compare=False)
 
     @property
     def top(self) -> SimplicialSet:
@@ -177,28 +184,17 @@ def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -
         raise ValidationError("square (f, g) does not commute with the tower maps")
     cap = min(T.cap, Tp.cap)
 
-    # stage 0: the A-part keeps its indices, adjoined vertices reindex by g
-    ap_verts = Tp.A.count(0)
-    assign0 = []
-    for i in range(T.A.count(0)):
-        # A' generators keep their indices inside A'_0
-        assign0.append(f.assign[0][i])
-    for b in range(T.B.count(0)):
-        gb = g.assign[0][b].gen.index
-        assign0.append(Simplex((), SimplexRef(0, ap_verts + gb)))
-    table = []
-    for d in range(len(T.stages[0].counts)):
-        table.append(tuple(assign0) if d == 0 else tuple(f.assign[d]))
-    stage_maps = [SimplicialMap(T.stages[0], Tp.stages[0], tuple(table))]
-
+    # stage 0 is f on A, then the vertex of b goes to the vertex of g(b),
+    # which stage 0 of Tp appends after A'
+    ap = Tp.A.count(0)
+    stage_maps = [SimplicialMap(T.stages[0], Tp.stages[0], appended(f.assign, 0, [
+        Simplex((), SimplexRef(0, ap + g.assign[0][b].gen.index))
+        for b in range(T.B.count(0))]))]
     for n in range(1, cap + 1):
         prev = stage_maps[-1]
-        table = [list(prev.assign[d]) if d < len(prev.assign) else []
-                 for d in range(len(T.stages[n].counts))]
-        if T.squares[n]:
-            table[n].extend(_square_images(n, prev, g, T, Tp))
+        new = _square_images(n, prev, g, T, Tp) if T.squares[n] else ()
         stage_maps.append(SimplicialMap(T.stages[n], Tp.stages[n],
-                                        tuple(tuple(r) for r in table)))
+                                        appended(prev.assign, n, new)))
 
     tm = TowerMap(source=T, target=Tp, f=f, g=g, stage_maps=stage_maps)
     _check_tower_map(tm, cap)
@@ -231,21 +227,18 @@ def _square_images(n, prev, g, T: Tower, Tp: Tower):
     return out
 
 
-def _image(f: SimplicialMap, s: Simplex) -> Simplex:
-    """f(s); a generator's image is read, not rebuilt."""
-    y = f.assign[s.gen.dim][s.gen.index]
-    return degenerate(y, s.word) if s.word else y
-
-
 def _check_tower_map(tm: TowerMap, cap):
     """Check the stage maps of ``tm`` through ``cap`` exactly, stage by stage.
 
     The map f_n of stage n must restrict to f_{n-1} (to f for n = 0)
-    through the two towers' inclusions, and on each cell c that stage n
-    adds it must be simplicial, f_n(d_i c) = d_i f_n(c), and commute with
-    the projections, p'_n(f_n c) = g(p_n c).  The older cells need no
-    second look: they are covered by the previous stage, because
-    p_n . i_n = p_{n-1} in every tower that ``attach_cells`` builds.
+    through the two towers' inclusions.  A tower only appends, so both
+    inclusions send a generator to the one of the same index, and the
+    restriction holds exactly when each row of f_n begins with the row of
+    f_{n-1}.  On each cell c that stage n appends, f_n must be simplicial,
+    f_n(d_i c) = d_i f_n(c), and commute with the projections,
+    p'_n(f_n c) = g(p_n c).  The older cells need no second look: they
+    are covered by the previous stage, because p_n . i_n = p_{n-1} in
+    every tower that ``attach_cells`` builds.
     """
     T, Tp, g = tm.source, tm.target, tm.g
     for n in range(cap + 1):
@@ -253,25 +246,16 @@ def _check_tower_map(tm: TowerMap, cap):
         if fn.dom != X or fn.cod != Xp:
             raise ValidationError(f"stage {n}: induced map does not run between"
                                   " the stages")
-        prev = tm.f if n == 0 else tm.stage_maps[n - 1]
-        fa, ia = fn.assign, Tp.inclusions[n].assign
-        old = [set() for _ in X.counts]
-        for d, row in enumerate(T.inclusions[n].assign):
-            for s, y in zip(row, prev.assign[d]):
-                a, b = fa[s.gen.dim][s.gen.index], ia[y.gen.dim][y.gen.index]
-                if s.word or y.word:
-                    a, b = degenerate(a, s.word), degenerate(b, y.word)
-                if a is not b and a != b:
-                    raise ValidationError(f"stage {n}: induced map does not commute"
-                                          " with the stage inclusions")
-                if not s.word:
-                    old[d].add(s.gen.index)
+        fa, prev = fn.assign, (tm.f if n == 0 else tm.stage_maps[n - 1]).assign
+        if any(row is not old and row[:len(old)] != old for row, old in zip(fa, prev)):
+            raise ValidationError(f"stage {n}: induced map does not commute"
+                                  " with the stage inclusions")
         # new cells share their faces and disks: map each of those once
         p, pp = T.projections[n], Tp.projections[n]
         faces_of, disks_of = {}, {}
         for d, count in enumerate(X.counts):
             top = Xp.count(d)
-            for c in sorted(set(range(count)).difference(old[d])):
+            for c in range(len(prev[d]) if d < len(prev) else 0, count):
                 y = fa[d][c]
                 if y.word or y.gen.dim != d or y.gen.index >= top:
                     errs = simplex_errors(Xp, y, d)
@@ -284,14 +268,14 @@ def _check_tower_map(tm: TowerMap, cap):
                 z = p.assign[d][c]
                 gz = disks_of.get(id(z))
                 if gz is None:
-                    gz = disks_of[id(z)] = _image(g, z)
-                if _image(pp, y) != gz:
+                    gz = disks_of[id(z)] = g(z)
+                if pp(y) != gz:
                     raise ValidationError(f"stage {n}: induced map does not commute"
                                           " with the projections")
                 for i, (s, t) in enumerate(zip(X.faces[d][c], below)):
                     u = faces_of.get(id(s))
                     if u is None:
-                        u = faces_of[id(s)] = _image(fn, s)
+                        u = faces_of[id(s)] = fn(s)
                     if u is not t and u != t:
                         raise ValidationError(f"stage {n}: induced map is not simplicial"
                                               f" at d_{i} of cell {d}:{c}")
@@ -357,13 +341,11 @@ def check_intersection(X: SimplicialSet, subsets, cap, variant="all-maps",
 
     member_images = []
     for S, incl in members:
-        T = build_tower(SimplicialSet.empty(), empty_map(S), cap, variant, budget)
-        tm = induced_tower_map(e, incl, T, ambient)
+        tm = induced_tower_map(e, incl, cw_tower(S, cap, variant, budget), ambient)
         member_images.append([_image_generators(tm.stage_maps[n])
                               for n in range(cap + 1)])
-    T_total = build_tower(SimplicialSet.empty(), empty_map(S_total), cap,
-                          variant, budget)
-    tm_total = induced_tower_map(e, incl_total, T_total, ambient)
+    tm_total = induced_tower_map(e, incl_total, cw_tower(S_total, cap, variant, budget),
+                                 ambient)
 
     ok = True
     reports = []

@@ -323,9 +323,9 @@ def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
 # ---------------------------------------------------------------------------
 
 def format_square(sq: AttachmentSquare) -> str:
-    token = simplex_formatter()
-    return square_text(sq.n, " ".join(token(s) for row in sq.attach.assign for s in row),
-                       " ".join(token(s) for row in sq.disk.assign for s in row))
+    """The square's line, joined from its table's tokens like its cell's label."""
+    t = sq.table
+    return square_text(sq.n, t.attach_text(sq.facets), t.disk_text[sq.top])
 
 
 def square_text(n, attach, disk) -> str:
@@ -419,13 +419,11 @@ def save_tower(tower, path):
 
 
 def growth_csv(tower) -> str:
+    """One row per stage.  A tower only appends, so stage n's new cells are
+    the n-generators it has beyond the stage below it (A, below stage 0)."""
     rows = ["stage,dimension,new-cells,cumulative-generators"]
-    for n in range(tower.cap + 1):
-        if n == 0:
-            new = tower.stages[0].count(0) - tower.A.count(0)
-        else:
-            new = len(tower.squares[n])
-        rows.append(f"{n},{n},{new},{tower.stages[n].total_generators}")
+    for n, (below, X) in enumerate(zip([tower.A, *tower.stages], tower.stages)):
+        rows.append(f"{n},{n},{X.count(n) - below.count(n)},{X.total_generators}")
     return "\n".join(rows) + "\n"
 
 

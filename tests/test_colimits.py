@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 from itertools import product
 
@@ -16,6 +17,7 @@ from cwtower import (
     empty_map,
     enumerate_maps,
     enumerate_squares,
+    format_sset,
     identity_map,
     is_simplicial_subset,
     square_commutes,
@@ -23,7 +25,7 @@ from cwtower import (
     standard_simplex,
     validate,
 )
-from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion
+from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion, inclusion
 from cwtower.homsearch import SquareTable
 
 from util import assert_stage_glues_oracle, oracle_enumerate_squares, vertex_with_loop
@@ -223,6 +225,15 @@ class TestStageZero:
         assert A0.counts == (2,)
         assert p0.assign[0][0] == p0.assign[0][1] == Simplex((), SimplexRef(0, 0))
         assert is_simplicial_subset(incl)
+
+    def test_domain_generators_come_first(self):
+        # A's generators above dimension 0 keep their indices in A0
+        A = standard_simplex(2)
+        A0, incl, _ = stage_zero(A, identity_map(A))
+        assert incl == inclusion(A, A0) and is_simplicial_subset(incl)
+        assert validate(A0) == []
+        assert hashlib.sha256(format_sset(A0).encode()).hexdigest() == (
+            "b4f952f2fca919765410cfdf67bc4d4bd7f9bd0b6679af79735d24f866f92501")
 
 
 class TestUnionThrough:

@@ -10,7 +10,6 @@ from cwtower import (
     ValidationError,
     boundary_inclusion,
     boundary_simplex,
-    disjoint_union,
     face,
     identity_map,
     intersect_subsets,
@@ -154,32 +153,6 @@ class TestValidate:
         assert X == Y and hash(X) == hash(Y)
         with pytest.raises(AttributeError):
             X.counts = ()
-
-
-class TestDisjointUnion:
-    def test_two_points(self):
-        Z, _, _ = disjoint_union(standard_simplex(0), standard_simplex(0))
-        assert Z.counts == (2,)
-
-    def test_unit(self):
-        X = boundary_simplex(2)
-        Z, iX, _ = disjoint_union(SimplicialSet.empty(), X)
-        assert Z.counts == X.counts and Z.faces == X.faces
-
-    def test_counts_add(self):
-        Z, _, _ = disjoint_union(boundary_simplex(2), standard_simplex(1))
-        assert Z.counts == (5, 4)
-
-    def test_inclusions_are_subsets(self):
-        Z, iX, iY = disjoint_union(boundary_simplex(2), standard_simplex(1))
-        assert is_simplicial_subset(iX) and is_simplicial_subset(iY)
-        assert validate(Z) == []
-
-    def test_associative_literally(self):
-        X, Y, W = standard_simplex(1), boundary_simplex(2), standard_simplex(0)
-        left = disjoint_union(disjoint_union(X, Y)[0], W)[0]
-        right = disjoint_union(X, disjoint_union(Y, W)[0])[0]
-        assert left == right
 
 
 class TestSubsets:

@@ -364,6 +364,18 @@ class TestTowerMapCheck:
         with pytest.raises(ValidationError, match="stage 1: .* with the projections"):
             _check_tower_map(bad, 1)
 
+    def test_old_cell_moved_in_a_later_stage_rejected(self):
+        # stage 2 sends the point tower's 1-cell, which stage 1 fixes, to the
+        # degenerate edge on the vertex
+        tm = identity_tower_map(cw_tower(standard_simplex(0), 2))
+        f2 = tm.stage_maps[2]
+        rows = list(f2.assign)
+        rows[1] = (Simplex((0,), SimplexRef(0, 0)),)
+        tm.stage_maps[2] = SimplicialMap(f2.dom, f2.cod, tuple(rows))
+        with pytest.raises(ValidationError, match="stage 2: induced map does not commute"
+                           " with the stage inclusions"):
+            _check_tower_map(tm, 2)
+
     def test_cell_sent_outside_the_stage_rejected(self):
         T = cw_tower(standard_simplex(0), 1)
 
@@ -416,6 +428,15 @@ class TestNoPerSquareMaps:
         circle.write_text(format_sset(boundary_simplex(2)))
         assert main(["verify", "--suite", "variant", str(circle), "--max-dim", "3"]) == 0
         assert capsys.readouterr().out.count("PASS variant-coincidence") == 4
+
+    @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
+                                   boundary_simplex(2), standard_simplex(2)],
+                             ids=["point", "interval", "circle", "disk"])
+    def test_format_square_is_the_cell_label(self, no_square_maps, B):
+        T = cw_tower(B, 3)
+        for n in range(1, 4):
+            labels = T.stages[n].labels[n][T.stages[n - 1].count(n):]
+            assert [format_square(sq) for sq in T.squares[n]] == list(labels), n
 
     def test_cellular_read_from_the_table(self):
         T = cw_tower(standard_simplex(1), 2)

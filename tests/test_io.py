@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cwtower.factorization
 from cwtower import (
+    AttachmentSquare,
     BudgetExceeded,
     Simplex,
     SimplexRef,
@@ -113,6 +117,25 @@ class TestSsetFormat:
         X = boundary_simplex(2)
         text = "# header\n\n" + format_sset(X).replace("\n", "\n# note\n", 1)
         assert parse_sset(text) == X
+
+
+# str.splitlines breaks a line at each of these, so a label holding one
+# does not survive the line-based format
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+LABELS = st.none() | st.text(st.sampled_from('"\\# é') | st.characters(
+    exclude_characters=LINE_BREAKS), max_size=6)
+
+
+class TestSsetRoundTrip:
+    @pytest.mark.parametrize("relabel", [False, True], ids=["stage-labels", "random-labels"])
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(rng=st.randoms(use_true_random=False), cap=st.integers(0, 2), data=st.data())
+    def test_tower_stages(self, relabel, rng, cap, data):
+        for X in cw_tower(random_one_dim_target(rng), cap).stages:
+            if relabel:
+                X = SimplicialSet(X.counts, X.faces, tuple(
+                    data.draw(st.lists(LABELS, min_size=c, max_size=c)) for c in X.counts))
+            assert parse_sset(format_sset(X)) == X
 
 
 class TestSmapFormat:
@@ -311,6 +334,23 @@ class TestReplay:
         C = cw_tower(boundary_simplex(2), 2, "cellular")
         save_tower(C, tmp_path / "c")
         assert load_tower(tmp_path / "c") == C
+
+    def test_equality_compares_no_squares(self, tmp_path, monkeypatch):
+        # the stages and projections fix the squares
+        T = cw_tower(boundary_simplex(2), 3)
+        save_tower(T, tmp_path / "t")
+
+        def refuse(sq, other):
+            raise AssertionError("two squares were compared")
+
+        monkeypatch.setattr(AttachmentSquare, "__eq__", refuse)
+        assert load_tower(tmp_path / "t") == T
+        p = T.projections[3]
+        rows = [list(r) for r in p.assign]
+        rows[3][0] = rows[3][-1]
+        assert rows[3][0] != p.assign[3][0]
+        projections = T.projections[:3] + [SimplicialMap(p.dom, p.cod, tuple(map(tuple, rows)))]
+        assert dataclasses.replace(T, projections=projections) != T
 
     def test_upto_truncates(self, circle_dir):
         T, path = circle_dir
