@@ -284,11 +284,12 @@ def cmd_homology(args):
     if args.degree is not None and args.degree < 0:
         raise ParseError(f"--degree {args.degree} must be >= 0")
     if os.path.isdir(args.input):
-        _, cap = tower_meta(args.input)
+        meta = tower_meta(args.input)
+        _, cap, _ = meta
         stage = cap if args.stage is None else args.stage
         if not 0 <= stage <= cap:
             raise ParseError(f"--stage {stage} is out of range 0..{cap}")
-        X = load_tower(args.input, upto=stage, budget=_budget()).stages[stage]
+        X = load_tower(args.input, upto=stage, budget=_budget(), _meta=meta).top
     elif args.stage is not None:
         raise ParseError("--stage requires a tower directory input")
     else:

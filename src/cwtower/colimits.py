@@ -40,7 +40,8 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     table that the list shares, which must be over (n, p).  Each is
     checked to commute on ranks, which is the one condition its ranks do
     not give by construction: the faces of b are p(x_0) .. p(x_n).  The
-    new cell's faces are x_0 .. x_n.
+    new cell's faces are x_0 .. x_n, and its label, the square's line, is
+    made only when it is read (a ``LabelRow`` over the facets and disks).
 
     X2 is not validated here.  It gets a deferred check (``defer_report``)
     that ``chain_complex`` runs: X's report must be clean, and every new
@@ -56,35 +57,36 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     if p.dom != X:
         raise ValidationError("attach_cells: the projection does not start at X")
     table = squares[0].table
-    faces_b, p_top = table.faces_b[n], table.p_top
-    cand, disk_text = table.cand_a[n - 1], table.disk_text
+    faces_b, p_top, cand = table.faces_b[n], table.p_top, table.cand_a[n - 1]
     last = None
-    cells, faces, labels = [], [], []
+    faces = []
     for k, sq in enumerate(squares):
-        if sq.n != n:
-            raise ValidationError(
-                f"square {k} has dimension {sq.n}, expected {n}")
         t = sq.table
         if t is not table or k == 0:  # every table of (n, p) ranks alike
+            if sq.n != n:
+                raise ValidationError(
+                    f"square {k} has dimension {sq.n}, expected {n}")
             if t.p.dom != X:
                 raise ValidationError(f"square {k}: attaching map does not land in X")
             if t.p != p:
                 raise ValidationError(f"square {k} was not found over the projection")
         if sq.facets is not last:  # one attaching map's squares come together
-            last = facets = sq.facets
-            below = tuple(map(p_top.__getitem__, facets))
-            cells.append(facets)
+            last = sq.facets
+            below = tuple(map(p_top.__getitem__, last))
             # facet j is the image of d_j, so it is face j of the new cell
-            cell = tuple(map(cand.__getitem__, facets))
-            attach = table.attach_text(facets)
+            cell = tuple(map(cand.__getitem__, last))
         if faces_b[sq.top] != below:
             raise ValidationError(f"square {k}: attaching square does not commute")
         faces.append(cell)
-        labels.append(square_text(n, attach, disk_text[sq.top]))
-    X2 = with_generators(X, n, faces, labels)
-    X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], cells))
-    p2 = SimplicialMap(X2, p.cod, appended(
-        p.assign, n, [table.cand_b[n][sq.top] for sq in squares]))
+    facets, tops = [sq.facets for sq in squares], [sq.top for sq in squares]
+
+    def label(k):  # the cell's label, the line of its square
+        return square_text(n, table.attach_text(facets[k]), table.disk_text[tops[k]])
+
+    X2 = with_generators(X, n, faces, label)
+    X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], facets))
+    disks = table.cand_b[n]
+    p2 = SimplicialMap(X2, p.cod, appended(p.assign, n, map(disks.__getitem__, tops)))
     return X2, inclusion(X, X2), p2
 
 

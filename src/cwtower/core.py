@@ -97,7 +97,8 @@ class SimplicialSet:
     total dimension d-1; ``faces[0][g]`` is empty.  ``labels`` carries an
     optional string per generator.
 
-    Equality is literal: counts, face tables and labels.
+    Equality is literal: counts, face tables and labels (a row may be a
+    ``LabelRow``).
     """
 
     counts: tuple
@@ -108,23 +109,22 @@ class SimplicialSet:
         counts = tuple(int(c) for c in self.counts)
         while counts and counts[-1] == 0:
             counts = counts[:-1]
-        faces = tuple(tuple(tuple(fs) for fs in self.faces[d]) if d < len(self.faces) else ()
+        faces = tuple(tuple(map(tuple, self.faces[d])) if d < len(self.faces) else ()
                       for d in range(len(counts)))
-        labels = tuple(tuple(self.labels[d]) if d < len(self.labels) else ()
-                       for d in range(len(counts)))
+        labels = tuple(row if isinstance(row, (tuple, LabelRow)) else tuple(row)
+                       for row in self.labels[:len(counts)])
+        labels += ((),) * (len(counts) - len(labels))
         for d, c in enumerate(counts):
             if len(faces[d]) != c:
                 raise ValidationError(f"face table length mismatch in dimension {d}")
             if len(labels[d]) != c:
                 raise ValidationError(f"label table length mismatch in dimension {d}")
-            for g in range(c):
-                fs = faces[d][g]
+            want = d + 1 if d else 0
+            if c and not min(map(len, faces[d])) == max(map(len, faces[d])) == want:
+                g, fs = next((g, fs) for g, fs in enumerate(faces[d]) if len(fs) != want)
                 if d == 0:
-                    if fs:
-                        raise ValidationError("vertices have no faces")
-                elif len(fs) != d + 1:
-                    raise ValidationError(
-                        f"generator {d}:{g} needs {d + 1} faces, has {len(fs)}")
+                    raise ValidationError("vertices have no faces")
+                raise ValidationError(f"generator {d}:{g} needs {want} faces, has {len(fs)}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "labels", labels)
@@ -188,6 +188,29 @@ class SimplicialSet:
         must take the set as its argument rather than hold it, so that it
         makes no reference cycle while it waits."""
         self.__dict__["_deferred_check"] = check
+
+
+class LabelRow:
+    """The labels of ``head``, then ``label(k)`` for k < ``count``, each made
+    when read; immutable, equal and hashing equal to the tuple of them."""
+
+    def __init__(self, head, label, count):
+        self.head, self.label, self.count = head, label, count
+
+    def __len__(self):
+        return len(self.head) + self.count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        k = range(len(self))[i] - len(self.head)  # IndexError out of range
+        return self.head[k] if k < 0 else self.label(k)
+
+    def __eq__(self, other):
+        return isinstance(other, (tuple, LabelRow)) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 def face(X: SimplicialSet, s: Simplex, i) -> Simplex:
@@ -332,9 +355,13 @@ def appended(rows, d, new):
 
 def with_generators(X: SimplicialSet, d, faces, labels) -> SimplicialSet:
     """X with new d-generators after its own, with these face tuples and
-    labels; the counts are read off the face rows."""
+    labels; the counts are read off the face rows.  ``labels`` may be a
+    function of k, the label of new generator k, kept as a ``LabelRow``."""
+    rows = X.labels + ((),) * (d + 1 - len(X.labels))
+    row = (LabelRow(rows[d], labels, len(faces)) if callable(labels)
+           else rows[d] + tuple(labels))
     faces = appended(X.faces, d, faces)
-    return SimplicialSet(tuple(map(len, faces)), faces, appended(X.labels, d, labels))
+    return SimplicialSet(tuple(map(len, faces)), faces, rows[:d] + (row,) + rows[d + 1:])
 
 
 def identity_map(X: SimplicialSet) -> SimplicialMap:

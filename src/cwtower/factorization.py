@@ -10,6 +10,8 @@ checks literal set operations on generator indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain
 
 from .core import (
     Simplex,
@@ -32,6 +34,7 @@ from .homsearch import (
     AttachmentSquare,
     Budget,
     BudgetExceeded,
+    SquareTable,
     enumerate_squares,
 )
 from .colimits import attach_cells, stage_zero
@@ -50,10 +53,10 @@ class Tower:
     is ``inclusion(stages[n-1], stages[n])``, and p_n is p_{n-1} with
     the new cells' images appended.
 
-    Equality leaves the squares out: cell k of stage n has its square's
-    facets as faces and its disk as projection, so the stages and the
-    projections already fix the squares, and comparing squares of two
-    towers would compare the two stages once per pair of squares.
+    Equality leaves out the squares and the inclusions, which the stages
+    and projections fix (cell k of stage n has its square's facets as
+    faces and its disk as projection): comparing them would compare each
+    stage again, once per pair of squares and twice per inclusion.
     """
 
     A: SimplicialSet
@@ -62,7 +65,7 @@ class Tower:
     cap: int
     variant: str
     stages: list
-    inclusions: list
+    inclusions: list = field(compare=False)
     projections: list
     squares: list = field(compare=False)
 
@@ -119,11 +122,12 @@ def tower_stages(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
 
     A0, i0, p0 = stage_zero(A, f)
     stages, inclusions, projections, squares = [A0], [i0], [p0], [[]]
-    steps = Budget(budget)
+    steps, table = Budget(budget), None
     for n in range(cap + 1):
         if n >= 1:
+            table = SquareTable(n, projections[-1], table)
             try:
-                sqs = enumerate_squares(n, projections[-1], steps)
+                sqs = enumerate_squares(n, table, steps)
             except BudgetExceeded as e:
                 cells = stages[-1].total_generators - A.total_generators
                 raise BudgetExceeded(e.budget, e.used, e.unit,
@@ -236,7 +240,8 @@ def _check_tower_map(tm: TowerMap, cap):
     restriction holds exactly when each row of f_n begins with the row of
     f_{n-1}.  On each cell c that stage n appends, f_n must be simplicial,
     f_n(d_i c) = d_i f_n(c), and commute with the projections,
-    p'_n(f_n c) = g(p_n c).  The older cells need no second look: they
+    p'_n(f_n c) = g(p_n c), compared as integers off the towers' stored
+    faces and projections.  The older cells need no second look: they
     are covered by the previous stage, because p_n . i_n = p_{n-1} in
     every tower that ``attach_cells`` builds.
     """
@@ -250,35 +255,41 @@ def _check_tower_map(tm: TowerMap, cap):
         if any(row is not old and row[:len(old)] != old for row, old in zip(fa, prev)):
             raise ValidationError(f"stage {n}: induced map does not commute"
                                   " with the stage inclusions")
-        # new cells share their faces and disks: map each of those once
         p, pp = T.projections[n], Tp.projections[n]
-        faces_of, disks_of = {}, {}
         for d, count in enumerate(X.counts):
-            top = Xp.count(d)
-            for c in range(len(prev[d]) if d < len(prev) else 0, count):
-                y = fa[d][c]
-                if y.word or y.gen.dim != d or y.gen.index >= top:
-                    errs = simplex_errors(Xp, y, d)
-                    if errs:
-                        raise ValidationError(
-                            f"stage {n}: image of cell {d}:{c}: {errs[0]}")
-                    below = [face(Xp, y, i) for i in range(d + 1)] if d else ()
-                else:
-                    below = Xp.faces[d][y.gen.index]
-                z = p.assign[d][c]
-                gz = disks_of.get(id(z))
-                if gz is None:
-                    gz = disks_of[id(z)] = g(z)
-                if pp(y) != gz:
+            lo, top = (len(prev[d]) if d < len(prev) else 0), Xp.count(d)
+            ys = fa[d][lo:count]
+            if ys and all(not y.word and y.gen.dim == d and y.gen.index < top for y in ys):
+                # each distinct stored face and disk is mapped once, to an
+                # integer that equal simplices share; the cells compare those
+                ints, at = {}, [y.gen.index for y in ys]
+                below = chain.from_iterable(map(Xp.faces[d].__getitem__, at))
+                if (_integers(ints, fn, chain.from_iterable(X.faces[d][lo:count]))
+                        == _integers(ints, None, below)
+                        and _integers(ints, g, p.assign[d][lo:count])
+                        == _integers(ints, None, map(pp.assign[d].__getitem__, at))):
+                    continue
+            for c, y in enumerate(ys, lo):  # name the first cell that fails
+                errs = simplex_errors(Xp, y, d)
+                if errs:
+                    raise ValidationError(f"stage {n}: image of cell {d}:{c}: {errs[0]}")
+                if pp(y) != g(p.assign[d][c]):
                     raise ValidationError(f"stage {n}: induced map does not commute"
                                           " with the projections")
-                for i, (s, t) in enumerate(zip(X.faces[d][c], below)):
-                    u = faces_of.get(id(s))
-                    if u is None:
-                        u = faces_of[id(s)] = fn(s)
-                    if u is not t and u != t:
+                for i, s in enumerate(X.faces[d][c]):
+                    if fn(s) != face(Xp, y, i):
                         raise ValidationError(f"stage {n}: induced map is not simplicial"
                                               f" at d_{i} of cell {d}:{c}")
+
+
+def _integers(ints, image, simplices):
+    """The integers in ``ints`` of image(s) for the stored simplices s, in
+    order; each distinct s is mapped once, and equal images share one."""
+    simplices = list(simplices)
+    keys = list(map(id, simplices))
+    memo = {k: ints.setdefault(s if image is None else image(s), len(ints))
+            for k, s in dict(zip(keys, simplices)).items()}
+    return list(map(memo.__getitem__, keys))
 
 
 def compose_tower_maps(tm2: TowerMap, tm1: TowerMap) -> TowerMap:
@@ -336,22 +347,25 @@ def check_intersection(X: SimplicialSet, subsets, cap, variant="all-maps",
         except ValidationError as err:
             raise ValidationError(f"subset {i}: {err}") from None
     S_total, incl_total = subcomplex(X, set.intersection(*subsets))
-    ambient = cw_tower(X, cap, variant, budget)
-    e = empty_map(SimplicialSet.empty())
+    # each distinct tower and tower map is made once, judged by equality
+    @cache
+    def tower(K):
+        return cw_tower(K, cap, variant, budget)
 
-    member_images = []
-    for S, incl in members:
-        tm = induced_tower_map(e, incl, cw_tower(S, cap, variant, budget), ambient)
-        member_images.append([_image_generators(tm.stage_maps[n])
-                              for n in range(cap + 1)])
-    tm_total = induced_tower_map(e, incl_total, cw_tower(S_total, cap, variant, budget),
-                                 ambient)
+    @cache
+    def image(incl):
+        tm = induced_tower_map(e, incl, tower(incl.dom), ambient)
+        return [_image_generators(fn) for fn in tm.stage_maps]
+
+    ambient, e = tower(X), empty_map(SimplicialSet.empty())
+    member_images = [image(incl) for _, incl in members]
+    total_images = image(incl_total)
 
     ok = True
     reports = []
     for n in range(cap + 1):
         lhs = set.intersection(*[imgs[n] for imgs in member_images])
-        rhs = _image_generators(tm_total.stage_maps[n])
+        rhs = total_images[n]
         equal = lhs == rhs
         ok = ok and equal
         reports.append({"stage": n, "intersection_size": len(lhs),

@@ -69,16 +69,11 @@ class Budget:
 
 
 def simplex_candidates(X: SimplicialSet, total_dim):
-    """All simplices of X of the given total dimension, in canonical order."""
-    out = []
-    for m in range(min(total_dim, X.dim) + 1):
-        length = total_dim - m
-        for combo in combinations(range(total_dim), length):
-            word = tuple(reversed(combo))
-            for idx in range(X.counts[m]):
-                out.append(Simplex(word, SimplexRef(m, idx)))
-    out.sort()
-    return out
+    """All simplices of X of the given total dimension, in canonical order:
+    by degeneracy word, which fixes the generator's dimension, then index."""
+    words = sorted((tuple(reversed(combo)), m) for m in range(min(total_dim, X.dim) + 1)
+                   for combo in combinations(range(total_dim), total_dim - m))
+    return [Simplex(word, SimplexRef(m, i)) for word, m in words for i in range(X.counts[m])]
 
 
 def enumerate_maps(K: SimplicialSet, X: SimplicialSet, budget=DEFAULT_BUDGET):
@@ -182,36 +177,36 @@ def _rows(flat, n):
     return tuple(flat[a:b] for a, b in _yoneda_plan(n)[2])
 
 
-def _tokens(cand):
-    """``format_simplex`` of every candidate, each formatted once."""
+def _grow(X, top, cand=(), rank=(), faces=(), tokens=()):
+    """The candidates of X through dimension ``top``, their ranks, the ranks
+    ``faces[d][r]`` in ``cand[d - 1]`` of the faces of ``cand[d][r]`` and
+    their tokens, keeping the rows given below dimension ``top``."""
     from .textio import format_simplex
-    return [list(map(format_simplex, c)) for c in cand]
-
-
-def _face_ranks(X, cand, rank):
-    """``[d][r]``: the ranks in ``cand[d - 1]`` of the faces of ``cand[d][r]``;
-    a generator's faces are read from X's face table."""
-    out = [None]
-    for d in range(1, len(cand)):
-        below = rank[d - 1].__getitem__
+    cand, rank, faces, tokens = (list(rows[:top]) for rows in (cand, rank, faces, tokens))
+    for d in range(len(cand), top + 1):
+        cand.append(simplex_candidates(X, d))
+        rank.append({s: r for r, s in enumerate(cand[d])})
+        tokens.append(list(map(format_simplex, cand[d])))
         gens = X.faces[d] if d < len(X.counts) else ()
-        out.append([tuple(map(below, gens[s.gen.index] if not s.word
-                              else [face(X, s, i) for i in range(d + 1)]))
-                    for s in cand[d]])
-    return out
+        faces.append([tuple(map(rank[d - 1].__getitem__, gens[s.gen.index] if not s.word
+                                else [face(X, s, i) for i in range(d + 1)]))
+                      for s in cand[d]] if d else None)
+    return cand, rank, faces, tokens
 
 
 class SquareTable:
     """The candidate simplices of one stage and of the target, as ranks.
 
-    One ``enumerate_squares`` call builds one table for (n, p) and every
+    One ``enumerate_squares`` call searches one table for (n, p) and every
     square it returns shares it.  ``cand_a[d]`` lists the d-simplices of
     the stage A = p.dom for d < n and ``cand_b[d]`` those of the target
     B = p.cod for d <= n, in ``simplex_candidates`` order; ``rank_a`` and
     ``rank_b`` invert them.  ``faces_a[d][r]`` and ``faces_b[d][r]`` are
-    the ranks of the faces of candidate r, and ``p_top[x]`` is the rank in
-    ``cand_b[n - 1]`` of p applied to ``cand_a[n - 1][x]``; all of these
-    are computed once per candidate.
+    the ranks of the faces of candidate r, ``tokens_a[d][r]`` and
+    ``tokens_b[d][r]`` their texts, and ``p_top[x]`` is the rank in
+    ``cand_b[n - 1]`` of p applied to ``cand_a[n - 1][x]``.  A tower grows
+    one table (``below``), so each candidate is listed, ranked and
+    formatted once per tower.
 
     A square is its facets (x_0 .. x_n), ranks in ``cand_a[n - 1]``, and
     its disk b, a rank in ``cand_b[n]``.  Everything else about it is read
@@ -220,15 +215,14 @@ class SquareTable:
     label texts come from tokens formatted once per candidate.
     """
 
-    def __init__(self, n, p: SimplicialMap):
+    def __init__(self, n, p: SimplicialMap, below: SquareTable | None = None):
         self.n, self.p = n, p
-        A, B = p.dom, p.cod
-        self.cand_a = [simplex_candidates(A, d) for d in range(n)]
-        self.cand_b = [simplex_candidates(B, d) for d in range(n + 1)]
-        self.rank_a = [{s: r for r, s in enumerate(c)} for c in self.cand_a]
-        self.rank_b = [{s: r for r, s in enumerate(c)} for c in self.cand_b]
-        self.faces_a = _face_ranks(A, self.cand_a, self.rank_a)
-        self.faces_b = _face_ranks(B, self.cand_b, self.rank_b)
+        # ``below``, the table of stage n - 1, holds A's candidates below
+        # n - 1 and B's below n: stage n - 1 appended only (n - 1)-generators
+        a = (below.cand_a, below.rank_a, below.faces_a, below.tokens_a) if below else ()
+        b = (below.cand_b, below.rank_b, below.faces_b, below.tokens_b) if below else ()
+        self.cand_a, self.rank_a, self.faces_a, self.tokens_a = _grow(p.dom, n - 1, *a)
+        self.cand_b, self.rank_b, self.faces_b, self.tokens_b = _grow(p.cod, n, *b)
         self.p_top = [self.rank_b[n - 1][p(s)] for s in self.cand_a[n - 1]]
 
     @cached_property
@@ -255,7 +249,7 @@ class SquareTable:
 
     @cached_property
     def _yoneda_tokens_a(self):
-        dims, tok = _yoneda_plan(self.n - 1)[0], _tokens(self.cand_a)
+        dims, tok = _yoneda_plan(self.n - 1)[0], self.tokens_a
         return [tuple(tok[d][r] for d, r in zip(dims, y)) for y in self.yoneda_a]
 
     def attach_text(self, facets):
@@ -266,7 +260,7 @@ class SquareTable:
     @cached_property
     def disk_text(self):
         """``[b]``: the tokens of the Yoneda map of disk b, joined by spaces."""
-        dims, tok = _yoneda_plan(self.n)[0], _tokens(self.cand_b)
+        dims, tok = _yoneda_plan(self.n)[0], self.tokens_b
         return [" ".join(tok[d][r] for d, r in zip(dims, y)) for y in self.yoneda_b]
 
 
@@ -350,13 +344,13 @@ def enumerate_squares(n, p_prev: SimplicialMap, budget: Budget | None = None):
     is its attaching map, gathered as ranks from its facets' faces.  The
     squares hold their facets and disk and share one ``SquareTable``.
     Every join step is charged to ``budget`` (a fresh ``Budget()`` if none
-    is given).
+    is given).  ``p_prev`` may be the ``SquareTable`` of (n, p_prev).
     """
     if n < 1:
         raise ValidationError("enumerate_squares needs n >= 1")
     if budget is None:
         budget = Budget()
-    table = SquareTable(n, p_prev)
+    table = p_prev if isinstance(p_prev, SquareTable) else SquareTable(n, p_prev)
     disks = {}
     for b, fs in enumerate(table.faces_b[n]):
         disks.setdefault(fs, []).append(b)

@@ -34,12 +34,13 @@ are not read.
 
 from __future__ import annotations
 
-import codecs
 import os
 import re
 from functools import lru_cache
+from itertools import chain
 
-from .core import Simplex, SimplexRef, SimplicialMap, SimplicialSet, validate
+from .core import Simplex, SimplexRef, SimplicialMap, SimplicialSet, ValidationError
+from .core import validate
 from .homsearch import DEFAULT_BUDGET, AttachmentSquare, SquareTable
 
 FORMAT_VERSION = "v1"
@@ -60,25 +61,6 @@ class ParseError(ValueError):
 def format_simplex(s: Simplex) -> str:
     word = " ".join(f"s_{j}" for j in s.word)
     return f"({word}|{s.gen.dim}:{s.gen.index})"
-
-
-def simplex_formatter():
-    """``format_simplex`` memoised by object identity, for one call's use.
-
-    A stage shares a few candidate ``Simplex`` objects among many faces
-    and squares, so each is formatted once.  The memo holds every simplex
-    it has seen, so no id is reused while it lives; it must not outlive
-    the call that made it.
-    """
-    memo = {}
-
-    def token(s):
-        hit = memo.get(id(s))
-        if hit is None:
-            hit = memo[id(s)] = (s, format_simplex(s))
-        return hit[1]
-
-    return token
 
 
 _SIMPLEX_RE = re.compile(r"^\(\s*((?:s_\d+\s*)*)\|\s*(\d+):(\d+)\s*\)$")
@@ -150,21 +132,45 @@ def _split_tokens(text, line=None):
 # Simplicial sets
 # ---------------------------------------------------------------------------
 
-def format_sset(X: SimplicialSet) -> str:
-    token = simplex_formatter()
-    lines = [f"sset {FORMAT_VERSION}", f"dims {len(X.counts)}"]
+# The characters at which ``str.splitlines``, and so ``parse_sset``, ends a line.
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _gen_lines(X: SimplicialSet):
+    """X's generator lines, one list per dimension.  A label that holds a
+    line break would be cut in two when read, so it is refused."""
+    rows = []
     for d, c in enumerate(X.counts):
-        lines.append(f"dim {d} count {c}")
-        for g in range(c):
+        rows.append([])
+        for g, label in enumerate(X.labels[d]):
             parts = [f"gen {d}:{g}"]
-            label = X.labels[d][g]
             if label is not None:
+                if _LINE_BREAK.search(label):
+                    raise ValidationError(
+                        f"generator {d}:{g}: label {label!r} holds a line break")
                 parts.append(f"label {_quote(label)}")
             if d >= 1:
-                parts.append("faces " + " ".join(map(token, X.faces[d][g])))
-            lines.append(" ".join(parts))
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+                parts.append("faces " + " ".join(map(format_simplex, X.faces[d][g])))
+            rows[d].append(" ".join(parts) + "\n")
+    return rows
+
+
+def _batched(lines, count, size=1024):
+    """The first ``count`` lines, joined ``size`` at a time."""
+    for i in range(0, count, size):
+        yield "".join(lines[i:min(i + size, count)])
+
+
+def _sset_chunks(counts, rows):
+    """A set's text in pieces, from its counts and rows of generator lines."""
+    yield f"sset {FORMAT_VERSION}\ndims {len(counts)}\n"
+    for d, c in enumerate(counts):
+        yield f"dim {d} count {c}\n"
+        yield from _batched(rows[d], c)
+
+
+def format_sset(X: SimplicialSet) -> str:
+    return "".join(_sset_chunks(X.counts, _gen_lines(X)))
 
 
 def _numbered_lines(text):
@@ -269,14 +275,21 @@ def parse_sset(text) -> SimplicialSet:
 # Simplicial maps
 # ---------------------------------------------------------------------------
 
+def _map_lines(assign):
+    """The assignment lines of a map table, one list per dimension."""
+    return [[f"gen {d}:{g} -> {format_simplex(s)}\n" for g, s in enumerate(row)]
+            for d, row in enumerate(assign)]
+
+
+def _smap_chunks(counts, rows):
+    """The text of a map from a set with these counts, as ``_sset_chunks``."""
+    yield f"smap {FORMAT_VERSION}\n"
+    for row, c in zip(rows, counts):
+        yield from _batched(row, c)
+
+
 def format_smap(f: SimplicialMap) -> str:
-    token = simplex_formatter()
-    lines = [f"smap {FORMAT_VERSION}"]
-    for d in range(len(f.dom.counts)):
-        for g in range(f.dom.counts[d]):
-            lines.append(f"gen {d}:{g} -> {token(f.assign[d][g])}")
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(_smap_chunks(f.dom.counts, _map_lines(f.assign)))
 
 
 def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
@@ -383,39 +396,67 @@ def parse_square(line, table: SquareTable, line_no=None) -> AttachmentSquare:
 # ---------------------------------------------------------------------------
 
 def tower_files(tower):
-    """The files of a tower directory, in write order: yields (name, text)."""
-    yield from _input_files(tower.variant, tower.cap, tower.f)
+    """The files of a tower directory in write order, as (name, chunks of text)."""
+    lines = _TowerLines(tower.f)
+    yield from lines.input_files(tower.variant, tower.cap)
     for n in range(tower.cap + 1):
-        yield from _stage_files(tower, n)
-    yield "growth.csv", growth_csv(tower)
+        yield from lines.stage_files(tower, n)
+    yield "growth.csv", (growth_csv(tower),)
 
 
-def _input_files(variant, cap, f):
-    yield "meta.txt", f"tower {FORMAT_VERSION}\nvariant {variant}\ncap {cap}\n"
-    yield "input.sset", format_sset(f.dom)
-    yield "target.sset", format_sset(f.cod)
-    yield "input_map.smap", format_smap(f)
+class _TowerLines:
+    """The lines of a tower's files, kept from one stage to the next.
 
+    A tower only appends, so ``gens`` and ``proj``, the lines of a stage
+    and of its projection per dimension, grow by the lines of each stage's
+    new cells, made from the tokens of their squares' table; a file reads
+    each row up to its count.  A square's label has no ``"`` or backslash.
+    """
 
-def _stage_files(tower, n):
-    """Stage n's files.  The manifest is the labels of the stage's new
-    cells, which ``attach_cells`` made with ``square_text``."""
-    yield f"stage_{n}.sset", format_sset(tower.stages[n])
-    yield f"include_{n}.smap", format_smap(tower.inclusions[n])
-    yield f"project_{n}.smap", format_smap(tower.projections[n])
-    if n >= 1:
-        new = len(tower.squares[n])
-        labels = tower.stages[n].labels[n] if new else ()
-        # every label ends its line; no squares give an empty file
-        yield f"squares_{n}.manifest", "\n".join((*labels[len(labels) - new:], ""))
+    def __init__(self, f: SimplicialMap):
+        self.f, self.gens, self.target = f, _gen_lines(f.dom), _gen_lines(f.cod)
+        self.proj = _map_lines(f.assign)
+
+    def input_files(self, variant, cap):
+        yield "meta.txt", (f"tower {FORMAT_VERSION}\nvariant {variant}\ncap {cap}\n",)
+        yield "input.sset", _sset_chunks(self.f.dom.counts, self.gens)
+        yield "target.sset", _sset_chunks(self.f.cod.counts, self.target)
+        yield "input_map.smap", _smap_chunks(self.f.dom.counts, self.proj)
+
+    def stage_files(self, tower, n):
+        X, below = tower.stages[n], (tower.stages[n - 1] if n else tower.A)
+        old, labels = below.count(n), []
+        for rows in (self.gens, self.proj):
+            rows.extend([] for _ in range(len(rows), n + 1))
+        if n == 0 and X.counts:  # the new vertices, after A's generators
+            self.gens[0] += _gen_lines(X)[0][old:]
+            self.proj[0] += _map_lines(tower.projections[0].assign)[0][old:]
+        elif tower.squares[n]:
+            t = tower.squares[n][0].table
+            for g, sq in enumerate(tower.squares[n], old):
+                faces = " ".join(map(t.tokens_a[n - 1].__getitem__, sq.facets))
+                label = square_text(n, t.attach_text(sq.facets), t.disk_text[sq.top])
+                labels.append(label + "\n")
+                self.gens[n].append(f'gen {n}:{g} label "{label}" faces {faces}\n')
+                self.proj[n].append(f"gen {n}:{g} -> {t.tokens_b[n][sq.top]}\n")
+        yield f"stage_{n}.sset", _sset_chunks(X.counts, self.gens)
+        yield f"include_{n}.smap", _smap_chunks(below.counts, [
+            [f"gen {d}:{g} -> (|{d}:{g})\n" for g in range(c)]
+            for d, c in enumerate(below.counts)])
+        yield f"project_{n}.smap", _smap_chunks(X.counts, self.proj)
+        if n >= 1:  # the new cells' labels, each ending its line
+            yield f"squares_{n}.manifest", _batched(labels, len(labels))
 
 
 def save_tower(tower, path):
-    """Serialize a tower to a directory (deterministic, bit-exact)."""
+    """Serialize a tower to a directory (deterministic, bit-exact), a chunk at
+    a time; a label that cannot be written is refused before anything is."""
+    files = tower_files(tower)
+    first = next(files)  # formats A's and B's lines, which checks their labels
     os.makedirs(path, exist_ok=True)
-    for name, text in tower_files(tower):
+    for name, chunks in chain([first], files):
         with open(os.path.join(path, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def growth_csv(tower) -> str:
@@ -441,12 +482,12 @@ def read_text(path, what=None):
 
 
 def tower_meta(path):
-    """(variant, cap) from a tower directory's ``meta.txt``, checked."""
+    """(variant, cap, text) from a tower directory's ``meta.txt``, checked."""
     from .factorization import VARIANTS
 
+    text = read_text(os.path.join(path, "meta.txt"), "tower file meta.txt")
     meta = {}
-    for line in read_text(os.path.join(path, "meta.txt"),
-                          "tower file meta.txt").splitlines():
+    for line in text.splitlines():
         parts = line.split(None, 1)
         if len(parts) == 2:
             meta[parts[0]] = parts[1]
@@ -464,10 +505,10 @@ def tower_meta(path):
                          f" got {meta['cap']!r}")
     if meta["variant"] not in VARIANTS:
         raise ParseError(f"meta.txt: unknown variant {meta['variant']!r}")
-    return meta["variant"], cap
+    return meta["variant"], cap, text
 
 
-def load_tower(path, upto=None, budget=DEFAULT_BUDGET):
+def load_tower(path, upto=None, budget=DEFAULT_BUDGET, *, _meta=None):
     """Load stages 0..upto (default: all) of a tower directory by replaying it.
 
     A tower is a function of its inputs, so only ``input.sset``,
@@ -476,10 +517,11 @@ def load_tower(path, upto=None, budget=DEFAULT_BUDGET):
     files must equal the stored ones byte for byte before the next stage
     is built; the first file that differs is a ParseError.  Stage files
     above ``upto`` are not read.  The tower returned has ``cap == upto``.
+    ``_meta`` is ``tower_meta(path)`` if the caller has read it.
     """
     from .factorization import tower_stages
 
-    variant, cap = tower_meta(path)
+    variant, cap, meta = _meta or tower_meta(path)
     k = cap if upto is None else upto
     if not 0 <= k <= cap:
         raise ParseError(f"stage {k} is out of range 0..{cap}")
@@ -492,48 +534,39 @@ def load_tower(path, upto=None, budget=DEFAULT_BUDGET):
             if not os.path.isfile(os.path.join(path, name)):
                 raise ParseError(f"tower file {name} is missing")
 
-    def read(name):
-        return read_text(os.path.join(path, name), f"tower file {name}")
+    texts = {"meta.txt": meta}
+    for name in ("input.sset", "target.sset", "input_map.smap"):
+        texts[name] = read_text(os.path.join(path, name), f"tower file {name}")
 
     def check(files, prefix=False):
-        for name, text in files:
-            if not _stored_as(os.path.join(path, name), name, text, prefix):
+        for name, chunks in files:  # an input is compared with the text read
+            if not ("".join(chunks) == texts[name] if name in texts
+                    else _stored_as(os.path.join(path, name), name, chunks, prefix)):
                 raise ParseError(
                     f"tower file {name} is not the replay of its inputs")
 
-    A = parse_sset(read("input.sset"))
-    B = parse_sset(read("target.sset"))
-    f = parse_smap(read("input_map.smap"), A, B)
-    check(_input_files(variant, cap, f))
+    A = parse_sset(texts["input.sset"])
+    B = parse_sset(texts["target.sset"])
+    f = parse_smap(texts["input_map.smap"], A, B)
+    lines = _TowerLines(f)
+    check(lines.input_files(variant, cap))
     for n, tower in enumerate(tower_stages(A, f, k, variant, budget)):
-        check(_stage_files(tower, n))
+        check(lines.stage_files(tower, n))
     # the stored table goes on past k when k < cap
-    check([("growth.csv", growth_csv(tower))], prefix=k < cap)
+    check([("growth.csv", (growth_csv(tower),))], prefix=k < cap)
     return tower
 
 
-def _stored_as(path, name, text, prefix=False):
-    """Does the file hold exactly ``text`` (with ``prefix``, begin with it)?
-
-    The file is decoded and compared a chunk at a time, so no second copy
-    of a large stage file is held.
-    """
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    pos = 0
+def _stored_as(path, name, chunks, prefix=False):
+    """Does the file hold the text of ``chunks`` (with ``prefix``, begin with
+    it)?  It is read and compared a chunk at a time, not held whole."""
     try:
-        with open(path, "rb") as fh:
-            while pos < len(text) or not prefix:
-                chunk = fh.read(1 << 20)
-                part = decode(chunk, not chunk)
-                if prefix:
-                    part = part[:len(text) - pos]
-                if not text.startswith(part, pos):
+        with open(path, encoding="utf-8", newline="") as fh:
+            for chunk in chunks:
+                if fh.read(len(chunk)) != chunk:
                     return False
-                pos += len(part)
-                if not chunk:
-                    break
+            return prefix or not fh.read(1)
     except OSError as exc:
         raise ParseError(f"cannot read tower file {name}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ParseError(f"tower file {name} is not valid UTF-8") from None
-    return pos == len(text)

@@ -5,13 +5,17 @@ from itertools import product
 
 import pytest
 
+import cwtower.colimits
+import cwtower.textio
 from cwtower import (
     AttachmentSquare,
     SimplicialSet,
     ValidationError,
     attach_cells,
     boundary_simplex,
+    build_tower,
     chain_complex,
+    check_intersection,
     compose,
     cw_tower,
     empty_map,
@@ -19,16 +23,19 @@ from cwtower import (
     enumerate_squares,
     format_sset,
     identity_map,
+    induced_tower_map,
     is_simplicial_subset,
     square_commutes,
     stage_zero,
     standard_simplex,
     validate,
 )
-from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion, inclusion
+from cwtower.core import LabelRow, Simplex, SimplexRef, SimplicialMap, boundary_inclusion
+from cwtower.core import inclusion
 from cwtower.homsearch import SquareTable
 
-from util import assert_stage_glues_oracle, oracle_enumerate_squares, vertex_with_loop
+from util import assert_stage_glues_oracle, oracle_enumerate_squares, oracle_square_line
+from util import vertex_with_loop
 
 
 def point_projection(X):
@@ -234,6 +241,49 @@ class TestStageZero:
         assert validate(A0) == []
         assert hashlib.sha256(format_sset(A0).encode()).hexdigest() == (
             "b4f952f2fca919765410cfdf67bc4d4bd7f9bd0b6679af79735d24f866f92501")
+
+
+class TestLabelView:
+    """attach_cells keeps no label strings: a stage's row of new labels is a
+    view over its table, facets and disks that makes a label when read."""
+
+    @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
+                                   boundary_simplex(2), standard_simplex(2)],
+                             ids=["point", "interval", "circle", "disk"])
+    def test_view_is_the_tuple_of_square_lines(self, B):
+        T = cw_tower(B, 3)
+        for n in range(1, 4):
+            X, row = T.stages[n], T.stages[n].labels[n]
+            want = tuple(oracle_square_line(n, sq.attach, sq.disk) for sq in T.squares[n])
+            assert isinstance(row, LabelRow) and len(row) == len(want)
+            assert row == want and want == row and hash(row) == hash(want)
+            assert tuple(row) == want and row[1:] == want[1:] and row[-1] == want[-1]
+            plain = SimplicialSet(X.counts, X.faces, tuple(map(tuple, X.labels)))
+            assert X == plain and plain == X and hash(X) == hash(plain)
+            assert format_sset(X) == format_sset(plain)
+
+    def test_view_follows_the_domain_labels(self):
+        A = standard_simplex(2)
+        T = build_tower(A, identity_map(A), 2)
+        row, sq = T.stages[1].labels[1], T.squares[1]
+        assert row[:3] == A.labels[1] == ("01", "02", "12")
+        assert len(row) == 3 + len(sq) and row[3] == oracle_square_line(1, sq[0].attach,
+                                                                       sq[0].disk)
+        with pytest.raises(IndexError):
+            row[len(row)]
+
+    def test_suites_that_write_nothing_make_no_label(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a label was made")
+
+        monkeypatch.setattr(cwtower.colimits, "square_text", refuse)
+        monkeypatch.setattr(cwtower.textio, "square_text", refuse)
+        X = boundary_simplex(2)
+        edges = [{SimplexRef(0, 0), SimplexRef(0, 1), SimplexRef(1, 0)},
+                 {SimplexRef(0, 0), SimplexRef(0, 2), SimplexRef(1, 1)}]
+        assert check_intersection(X, edges, 3)[0]
+        T = cw_tower(X, 3)
+        induced_tower_map(empty_map(SimplicialSet.empty()), identity_map(X), T, T)
 
 
 class TestUnionThrough:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,30 @@ class TestBuildTower:
     def test_empty_target(self):
         T = cw_tower(SimplicialSet.empty(), 2)
         assert all(s == SimplicialSet.empty() for s in T.stages)
+
+    def test_equality_leaves_the_inclusions_out(self, monkeypatch):
+        T, T2 = cw_tower(boundary_simplex(2), 3), cw_tower(boundary_simplex(2), 3)
+        calls, real = [], SimplicialSet.__eq__
+        monkeypatch.setattr(SimplicialSet, "__eq__",
+                            lambda a, b: calls.append(1) or real(a, b))
+
+        def eq_calls(compare):
+            calls.clear()
+            assert compare()
+            return len(calls)
+
+        # the inclusions are fixed by the stages, and comparing them would
+        # compare every stage twice more
+        def fields(U):
+            return U.A, U.B, U.f, U.cap, U.variant, U.stages, U.projections
+
+        assert eq_calls(lambda: T == T2) == eq_calls(lambda: fields(T) == fields(T2))
+        assert eq_calls(lambda: T.inclusions == T2.inclusions) > 0
+        p = T2.projections[3]
+        rows = [list(r) for r in p.assign]
+        rows[3][0] = rows[3][-1]
+        edited = SimplicialMap(p.dom, p.cod, tuple(map(tuple, rows)))
+        assert dataclasses.replace(T2, projections=T2.projections[:3] + [edited]) != T
 
     def test_bad_variant_rejected(self):
         with pytest.raises(ValidationError):
@@ -295,6 +321,39 @@ class TestIntersectionTheorem:
         ok, _ = check_intersection(boundary_simplex(2),
                                    [EDGE01, EDGE02, EDGE12], 2)
         assert ok
+
+    def counted(self, monkeypatch, name):
+        """The first arguments of every call of factorization's ``name``."""
+        calls, real = [], getattr(cwtower.factorization, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cwtower.factorization, name, counting)
+        return calls
+
+    def test_each_distinct_tower_built_once(self, monkeypatch):
+        # labelled, the circle's two edges are two complexes: the ambient,
+        # two edge and one vertex tower; unlabelled they are one complex
+        builds = self.counted(monkeypatch, "cw_tower")
+        X = boundary_simplex(2)
+        want = check_intersection(X, [EDGE01, EDGE02], 3)
+        assert want[0] and len(builds) == 4
+        builds.clear()
+        plain = SimplicialSet.build(X.counts, X.faces)
+        assert check_intersection(plain, [EDGE01, EDGE02], 3) == want
+        assert len(builds) == 3
+
+    def test_equal_inclusions_mapped_once(self, monkeypatch):
+        # the members and their intersection are one inclusion
+        maps = self.counted(monkeypatch, "induced_tower_map")
+        builds = self.counted(monkeypatch, "cw_tower")
+        ok, reports = check_intersection(boundary_simplex(2), [EDGE01, set(EDGE01)], 2)
+        assert ok and len(maps) == 1 and len(builds) == 2
+        assert [r["intersection_size"] for r in reports] == [
+            r["intersection_size"] for r in check_intersection(boundary_simplex(2),
+                                                               [EDGE01], 2)[1]]
 
     @pytest.fixture
     def no_builds(self, monkeypatch):

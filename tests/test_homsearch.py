@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 from cwtower import (
     SimplicialSet,
     boundary_simplex,
+    build_tower,
     compose,
     cw_tower,
     enumerate_maps,
     enumerate_squares,
     format_smap,
     format_square,
+    identity_map,
     square_commutes,
     standard_simplex,
     subcomplex,
 )
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, face_closure_errors
 from cwtower.core import validate
-from cwtower.homsearch import Budget, BudgetExceeded, simplex_candidates
+from cwtower.homsearch import Budget, BudgetExceeded, SquareTable, simplex_candidates
 
 from util import (
     SEED,
@@ -280,3 +282,54 @@ class TestFacetsAndDisk:
                 assert sq.disk.assign[n] == (t.cand_b[n][sq.top],)
             p = T.projections[n - 1]
             assert square_maps(T.squares[n]) == oracle_enumerate_squares(n, p)
+
+
+TABLE_FIELDS = ("cand_a", "rank_a", "faces_a", "tokens_a",
+                "cand_b", "rank_b", "faces_b", "tokens_b", "p_top")
+
+
+def assert_grown_tables_fresh(T):
+    """Every table of T's stages, grown from the table below it as the
+    build grows them, equals a table built from scratch, field by field."""
+    table = None
+    for n in range(1, T.cap + 1):
+        table = SquareTable(n, T.projections[n - 1], table)
+        fresh = SquareTable(n, T.projections[n - 1])
+        built = [sq.table for sq in T.squares[n][:1]]
+        for t in [table] + built:
+            for name in TABLE_FIELDS:
+                assert getattr(t, name) == getattr(fresh, name), (n, name)
+
+
+class TestGrowingTable:
+    """A tower grows one search table: stage n's table keeps the candidates
+    of the table below it and adds only its new top dimensions."""
+
+    @pytest.mark.parametrize("variant", ["all-maps", "cellular"])
+    @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
+                                   boundary_simplex(2), standard_simplex(2)],
+                             ids=["point", "interval", "circle", "disk"])
+    def test_corpus_at_cap_3(self, B, variant):
+        assert_grown_tables_fresh(cw_tower(B, 3, variant))
+
+    def test_point_at_cap_4(self):
+        assert_grown_tables_fresh(cw_tower(standard_simplex(0), 4, budget=10**9))
+
+    def test_domain_with_generators_above_the_stage(self):
+        # A = Delta^2 has a 2-generator before stage 2 appends any
+        A = standard_simplex(2)
+        for f in (identity_map(A), enumerate_maps(A, standard_simplex(1))[3]):
+            assert_grown_tables_fresh(build_tower(A, f, 3))
+
+    def test_stage_table_keeps_its_own_rows(self):
+        # growing stage n + 1's table leaves stage n's table as it was
+        T = cw_tower(standard_simplex(1), 3)
+        t2, t3 = T.squares[2][0].table, T.squares[3][0].table
+        assert len(t2.cand_a) == 2 and len(t2.cand_b) == 3
+        assert len(t3.cand_a) == 3 and len(t3.cand_b) == 4
+        assert t3.cand_a[1] is t2.cand_a[1] and t3.tokens_b[2] is t2.tokens_b[2]
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_one_dimensional_targets(self, seed):
+        assert_grown_tables_fresh(cw_tower(random_one_dim_target(random.Random(seed)), 2))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cwtower.factorization
+import cwtower.textio
 from cwtower import (
     AttachmentSquare,
     BudgetExceeded,
@@ -15,6 +16,7 @@ from cwtower import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
+    ValidationError,
     boundary_inclusion,
     boundary_simplex,
     build_tower,
@@ -38,6 +40,8 @@ from cwtower.textio import (
     save_tower,
     tower_files,
 )
+
+from cwtower.cli import main
 
 from util import SEED, oracle_square_line, random_one_dim_target, vertex_with_loop
 
@@ -124,6 +128,33 @@ class TestSsetFormat:
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 LABELS = st.none() | st.text(st.sampled_from('"\\# é') | st.characters(
     exclude_characters=LINE_BREAKS), max_size=6)
+
+
+class TestLineBreakLabels:
+    """A label that holds a line break would be cut in two when read, so it
+    is refused, by generator, before anything is written."""
+
+    @staticmethod
+    def point(label):
+        return SimplicialSet.build([1], [[()]], [[label]])
+
+    @pytest.mark.parametrize("brk", list(LINE_BREAKS))
+    def test_format_refuses(self, brk):
+        assert f"a{brk}b".splitlines() == ["a", "b"]
+        with pytest.raises(ValidationError,
+                           match="^generator 0:0: label .* holds a line break$"):
+            format_sset(self.point(f"a{brk}b"))
+
+    def test_save_writes_nothing(self, tmp_path):
+        A, pt = self.point("a\nb"), standard_simplex(0)
+        T = build_tower(A, enumerate_maps(A, pt)[0], 1)
+        with pytest.raises(ValidationError,
+                           match=r"^generator 0:0: label 'a\\nb' holds a line break$"):
+            save_tower(T, tmp_path / "t")
+        assert not (tmp_path / "t").exists()
+        with pytest.raises(ValidationError, match="^generator 0:0: label"):
+            save_tower(cw_tower(self.point("a\u2028b"), 1), tmp_path / "t")
+        assert not (tmp_path / "t").exists()
 
 
 class TestSsetRoundTrip:
@@ -352,6 +383,21 @@ class TestReplay:
         projections = T.projections[:3] + [SimplicialMap(p.dom, p.cod, tuple(map(tuple, rows)))]
         assert dataclasses.replace(T, projections=projections) != T
 
+    def test_each_file_read_once(self, circle_dir, monkeypatch, capsys):
+        _, path = circle_dir
+        opened, real = [], open
+
+        def counting(file, *args, **kwargs):
+            opened.append(os.path.basename(file))
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(cwtower.textio, "open", counting, raising=False)
+        assert main(["homology", str(path), "--stage", "1"]) == 0
+        assert len(opened) == len(set(opened)) == 12 and "stage_2.sset" not in opened
+        opened.clear()
+        load_tower(path)
+        assert len(opened) == len(set(opened)) == 16
+
     def test_upto_truncates(self, circle_dir):
         T, path = circle_dir
         for k in range(3):
@@ -364,12 +410,26 @@ class TestReplay:
 
     def test_manifest_is_the_square_lines(self, circle_dir):
         T, path = circle_dir
-        files = dict(tower_files(T))
+        files = {name: "".join(chunks) for name, chunks in tower_files(T)}
         for n in (1, 2):
             assert files[f"squares_{n}.manifest"] == "".join(
                 oracle_square_line(n, sq.attach, sq.disk) + "\n" for sq in T.squares[n])
         for name, text in files.items():
             assert (path / name).read_text() == text, name
+
+    @pytest.mark.parametrize("variant", ["all-maps", "cellular"])
+    def test_stage_files_are_the_formatted_stages(self, variant):
+        # the files are made from the table's tokens, line by line; the
+        # generic formatters of the stages and maps are the reference
+        A = standard_simplex(2)
+        for T in (cw_tower(standard_simplex(1), 3, variant),
+                  build_tower(A, enumerate_maps(A, boundary_simplex(2))[-1], 2, variant)):
+            files = {name: "".join(chunks) for name, chunks in tower_files(T)}
+            assert files["input.sset"] == format_sset(T.A)
+            for n in range(T.cap + 1):
+                assert files[f"stage_{n}.sset"] == format_sset(T.stages[n])
+                assert files[f"include_{n}.smap"] == format_smap(T.inclusions[n])
+                assert files[f"project_{n}.smap"] == format_smap(T.projections[n])
 
     def test_empty_stages_give_empty_manifests(self, tmp_path):
         T = cw_tower(SimplicialSet.empty(), 2)
