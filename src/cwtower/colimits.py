@@ -3,13 +3,13 @@
 A tower only appends.  ``stage_zero`` appends one vertex per vertex of
 the target after A's generators, and ``attach_cells`` appends one new
 nondegenerate n-generator per attaching square after the existing
-generators, in list order, so the construction is deterministic, stage
+generators, in row order, so the construction is deterministic, stage
 subsets are literal index ranges, and every stage inclusion is
-``core.inclusion``.  A square is its facets and its disk, ranks in the
-``SquareTable`` of (n, p), and the commutativity check, the new faces
-and the labels all work on those ranks.  The stage it returns is checked
-from its new cells, on ranks, only when ``chain_complex`` asks for its
-validity.
+``core.inclusion``.  The squares are one ``SquareRow``: the facets and
+disks of each square, ranks in the ``SquareTable`` of (n, p), and the
+commutativity check, the new faces and the labels all read those ranks.
+The stage it returns is checked from its new cells, on ranks, only when
+``chain_complex`` asks for its validity.
 """
 
 from __future__ import annotations
@@ -27,21 +27,21 @@ from .core import (
     inclusion,
     with_generators,
 )
-from .textio import square_text
+from .homsearch import SquareRow
 
 
-def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
-    """Attach one n-cell per square to X, over the projection p: X -> B.
+def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
+    """Attach one n-cell per square of the row to X, over p: X -> B.
 
     Returns (X2, incl, p2).  A tower only appends: X2 is X with the new
     n-cells after its generators, so incl is ``inclusion(X, X2)``, and p2
     is p with the new cells' disks appended.
-    Every square is its facets (x_0 .. x_n) and its disk b, ranks in the
-    table that the list shares, which must be over (n, p).  Each is
-    checked to commute on ranks, which is the one condition its ranks do
-    not give by construction: the faces of b are p(x_0) .. p(x_n).  The
-    new cell's faces are x_0 .. x_n, and its label, the square's line, is
-    made only when it is read (a ``LabelRow`` over the facets and disks).
+    Square k is its facets (x_0 .. x_n) and its disk b, ranks in the
+    row's table, which is checked once to be over (n, p).  Each square is
+    checked to commute on ranks, the one condition its ranks do not give
+    by construction: the faces of b are p(x_0) .. p(x_n).  The new cell's
+    faces are x_0 .. x_n, and its label, the square's line, is made only
+    when it is read (a ``LabelRow`` over the row's ``line``).
 
     X2 is not validated here.  It gets a deferred check (``defer_report``)
     that ``chain_complex`` runs: X's report must be clean, and every new
@@ -50,43 +50,32 @@ def attach_cells(X: SimplicialSet, squares, p: SimplicialMap):
     of X2 gives the report, so verdicts and messages are those of
     ``validate``.
     """
-    squares = list(squares)
     if not squares:
         return X, inclusion(X, X), p
-    n = squares[0].n
+    table = squares.table
+    n = table.n
     if p.dom != X:
         raise ValidationError("attach_cells: the projection does not start at X")
-    table = squares[0].table
+    if table.p.dom != X:
+        raise ValidationError("square 0: attaching map does not land in X")
+    if table.p != p:
+        raise ValidationError("square 0 was not found over the projection")
     faces_b, p_top, cand = table.faces_b[n], table.p_top, table.cand_a[n - 1]
     last = None
     faces = []
-    for k, sq in enumerate(squares):
-        t = sq.table
-        if t is not table or k == 0:  # every table of (n, p) ranks alike
-            if sq.n != n:
-                raise ValidationError(
-                    f"square {k} has dimension {sq.n}, expected {n}")
-            if t.p.dom != X:
-                raise ValidationError(f"square {k}: attaching map does not land in X")
-            if t.p != p:
-                raise ValidationError(f"square {k} was not found over the projection")
-        if sq.facets is not last:  # one attaching map's squares come together
-            last = sq.facets
-            below = tuple(map(p_top.__getitem__, last))
+    for k, (xs, b) in enumerate(zip(squares.facets, squares.tops)):
+        if xs is not last:  # one attaching map's squares come together
+            last = xs
+            below = tuple(map(p_top.__getitem__, xs))
             # facet j is the image of d_j, so it is face j of the new cell
-            cell = tuple(map(cand.__getitem__, last))
-        if faces_b[sq.top] != below:
+            cell = tuple(map(cand.__getitem__, xs))
+        if faces_b[b] != below:
             raise ValidationError(f"square {k}: attaching square does not commute")
         faces.append(cell)
-    facets, tops = [sq.facets for sq in squares], [sq.top for sq in squares]
-
-    def label(k):  # the cell's label, the line of its square
-        return square_text(n, table.attach_text(facets[k]), table.disk_text[tops[k]])
-
-    X2 = with_generators(X, n, faces, label)
-    X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], facets))
+    X2 = with_generators(X, n, faces, squares.line)
+    X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], squares.facets))
     disks = table.cand_b[n]
-    p2 = SimplicialMap(X2, p.cod, appended(p.assign, n, map(disks.__getitem__, tops)))
+    p2 = SimplicialMap(X2, p.cod, appended(p.assign, n, map(disks.__getitem__, squares.tops)))
     return X2, inclusion(X, X2), p2
 
 

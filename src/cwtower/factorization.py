@@ -1,10 +1,10 @@
 """Staged functorial factorization A -> A_0 -> ... -> A_N -> B.
 
 ``build_tower`` runs the dimension-staged construction: stage 0 adjoins
-one vertex per vertex of the target, and stage n attaches one n-cell for
-every commutative attaching square over the previous projection.  Cell
-identity is square identity, which makes the subcomplex and intersection
-checks literal set operations on generator indices.
+one vertex per vertex of the target, and stage n attaches one n-cell per
+commutative attaching square over the previous projection, in the order
+of its ``SquareRow`` (``Tower.squares[n]``).  Cell identity is square
+identity, so subcomplex and intersection checks compare generator indices.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .homsearch import (
     AttachmentSquare,
     Budget,
     BudgetExceeded,
+    SquareRow,
     SquareTable,
     enumerate_squares,
 )
@@ -47,11 +48,11 @@ class Tower:
     """The staged factorization of f: A -> B, truncated at ``cap``.
 
     ``stages[n]`` is A_n, ``projections[n]`` is p_n: A_n -> B, and
-    ``squares[n]`` is the ordered attaching-square list of stage n
-    (``squares[0]`` is empty).  A tower only appends: A_n is A_{n-1} with
-    new generators after the old ones (A_{-1} = A), so ``inclusions[n]``
-    is ``inclusion(stages[n-1], stages[n])``, and p_n is p_{n-1} with
-    the new cells' images appended.
+    ``squares[n]`` is the ``SquareRow`` of stage n, its attaching squares
+    in order (``squares[0]`` is empty).  A tower only appends: A_n is
+    A_{n-1} with new generators after the old ones (A_{-1} = A), so
+    ``inclusions[n]`` is ``inclusion(stages[n-1], stages[n])``, and p_n is
+    p_{n-1} with the new cells' images appended.
 
     Equality leaves out the squares and the inclusions, which the stages
     and projections fix (cell k of stage n has its square's facets as
@@ -80,11 +81,11 @@ def is_cellular(f) -> bool:
     In the simplicial model the image of a k-generator has total
     dimension k, so this holds for every simplicial map; the check is
     kept executable so the variant coincidence is observable.  ``f`` is a
-    simplicial map or an attaching square, which stands for its attaching
-    map and is read off the dimensions of its table's candidates, without
-    building that map.
+    simplicial map, or an attaching square or a row of them, which stands
+    for its attaching maps and is read off the dimensions of its table's
+    candidates, without building a map.
     """
-    if isinstance(f, AttachmentSquare):
+    if isinstance(f, (AttachmentSquare, SquareRow)):
         return f.table.cellular
     for d in range(len(f.dom.counts)):
         for g in range(f.dom.counts[d]):
@@ -132,7 +133,7 @@ def tower_stages(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
                 cells = stages[-1].total_generators - A.total_generators
                 raise BudgetExceeded(e.budget, e.used, e.unit,
                                      f"stage {n}, {cells} cells built") from e
-            if variant == "cellular" and not all(is_cellular(sq) for sq in sqs):
+            if variant == "cellular" and not is_cellular(sqs):
                 raise AssertionError(f"stage {n}: an attaching map is not cellular")
             Xn, incl, pn = attach_cells(stages[-1], sqs, projections[-1])
             stages.append(Xn)
@@ -211,10 +212,9 @@ def _square_images(n, prev, g, T: Tower, Tp: Tower):
                               " (towers are inconsistent)")
     if not Tp.squares[n]:
         raise missing
-    src, tgt = T.squares[n][0].table, Tp.squares[n][0].table
+    src, tgt = T.squares[n].table, Tp.squares[n].table
     if src.p != T.projections[n - 1] or tgt.p != Tp.projections[n - 1]:
         raise ValidationError(f"stage {n}: squares are not over the stage projection")
-    index_of = {(sq.facets, sq.top): i for i, sq in enumerate(Tp.squares[n])}
     # each candidate's image rank: the facets through prev, the disks through g
     try:
         img_a = [tgt.rank_a[n - 1][prev(s)] for s in src.cand_a[n - 1]]
@@ -223,8 +223,8 @@ def _square_images(n, prev, g, T: Tower, Tp: Tower):
         raise ValidationError(f"stage {n}: a stage map leaves its target") from None
     base_p = Tp.stages[n - 1].count(n)
     out = []
-    for sq in T.squares[n]:
-        i = index_of.get((tuple(map(img_a.__getitem__, sq.facets)), img_b[sq.top]))
+    for xs, b in zip(T.squares[n].facets, T.squares[n].tops):
+        i = Tp.squares[n].index.get((tuple(map(img_a.__getitem__, xs)), img_b[b]))
         if i is None:
             raise missing
         out.append(Simplex((), SimplexRef(n, base_p + i)))

@@ -13,9 +13,10 @@ By the Yoneda reduction an attaching square is its facets x_0 .. x_n
 and its disk b, and that is the only kind of square there is: ranks into
 the one ``SquareTable`` of candidate simplices that all squares of one
 search share, which holds the face tables of the candidates as ranks.
-A square's lower rows, sort key and label are gathered from its facets'
-faces by one plan per n, and its maps are built only when they are
-asked for; gluing, labelling and induced tower maps work on the ranks.
+A search returns one ``SquareRow``: the table, the facets and the disks.
+A square's lower rows, sort key and line are gathered from its facets'
+faces by one plan per n, and its maps are built only when asked for;
+gluing, labels and induced tower maps read the row's ranks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 from itertools import accumulate, combinations
 from math import comb
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .core import (
     Simplex,
@@ -211,8 +212,8 @@ class SquareTable:
     A square is its facets (x_0 .. x_n), ranks in ``cand_a[n - 1]``, and
     its disk b, a rank in ``cand_b[n]``.  Everything else about it is read
     off the face tables: ``attach_flat`` gathers the attaching map from the
-    facets' Yoneda tuples, ``yoneda_b[b]`` is the Yoneda map of b, and the
-    label texts come from tokens formatted once per candidate.
+    facets' Yoneda tuples, ``yoneda_b[b]`` is the Yoneda map of b, and
+    ``line`` reads their tokens from ``token_rows``, the row each rank indexes.
     """
 
     def __init__(self, n, p: SimplicialMap, below: SquareTable | None = None):
@@ -224,6 +225,8 @@ class SquareTable:
         self.cand_a, self.rank_a, self.faces_a, self.tokens_a = _grow(p.dom, n - 1, *a)
         self.cand_b, self.rank_b, self.faces_b, self.tokens_b = _grow(p.cod, n, *b)
         self.p_top = [self.rank_b[n - 1][p(s)] for s in self.cand_a[n - 1]]
+        dims = _yoneda_plan(n)[0]
+        self.token_rows = [self.tokens_a[d] for d in dims[:-1]], [self.tokens_b[d] for d in dims]
 
     @cached_property
     def yoneda_a(self):
@@ -248,20 +251,19 @@ class SquareTable:
         return _gather_plan(self.n)(sum(map(y.__getitem__, facets), ()))
 
     @cached_property
-    def _yoneda_tokens_a(self):
-        dims, tok = _yoneda_plan(self.n - 1)[0], self.tokens_a
-        return [tuple(tok[d][r] for d, r in zip(dims, y)) for y in self.yoneda_a]
-
-    def attach_text(self, facets):
-        """The tokens of the attaching map of ``facets``, joined by spaces."""
-        y = self._yoneda_tokens_a
-        return " ".join(_gather_plan(self.n)(sum(map(y.__getitem__, facets), ())))
-
-    @cached_property
     def disk_text(self):
         """``[b]``: the tokens of the Yoneda map of disk b, joined by spaces."""
-        dims, tok = _yoneda_plan(self.n)[0], self.tokens_b
-        return [" ".join(tok[d][r] for d, r in zip(dims, y)) for y in self.yoneda_b]
+        return [" ".join(map(getitem, self.token_rows[1], y)) for y in self.yoneda_b]
+
+    def line(self, facets, top):
+        """The line of the square (facets, top), which is its cell's label."""
+        attach = " ".join(map(getitem, self.token_rows[0], self.attach_flat(facets)))
+        return f"square n={self.n} attach[{attach}] disk[{self.disk_text[top]}]"
+
+    def ranks_alike(self, other: SquareTable):
+        """Do ranks mean the same simplices?  That depends on n, stage and target."""
+        return self is other or (self.n == other.n and self.p.dom == other.p.dom
+                                 and self.p.cod == other.p.cod)
 
 
 class AttachmentSquare:
@@ -276,9 +278,8 @@ class AttachmentSquare:
     held as ``top`` (a rank in ``table.cand_b[n]``).  The maps ``attach``
     and ``disk`` are read off the table only when they are asked for.
 
-    Two squares are equal exactly when their maps are: squares of one
-    table compare by ranks, squares of two tables by n, by stage and
-    target, and by their facet and disk simplices.
+    Two squares are equal exactly when their maps are: when their ranks
+    are, in tables whose ranks mean the same simplices.
     """
 
     def __init__(self, table: SquareTable, facets, top):
@@ -299,25 +300,51 @@ class AttachmentSquare:
             tuple(map(t.cand_b[d].__getitem__, row))
             for d, row in enumerate(_rows(t.yoneda_b[self.top], self.n))))
 
-    def _simplices(self):
-        """The facet and disk simplices, which fix the two maps."""
-        t = self.table
-        return tuple(map(t.cand_a[-1].__getitem__, self.facets)), t.cand_b[-1][self.top]
-
     def __eq__(self, other):
         if not isinstance(other, AttachmentSquare):
             return NotImplemented
-        s, o = self.table, other.table
-        if s is o:
-            return self.facets == other.facets and self.top == other.top
-        return (self.n == other.n and s.p.dom == o.p.dom and s.p.cod == o.p.cod
-                and self._simplices() == other._simplices())
+        return (self.facets == other.facets and self.top == other.top
+                and self.table.ranks_alike(other.table))
 
     def __hash__(self):
-        return hash((self.n, self._simplices()))
+        return hash((self.n, self.facets, self.top))
 
     def __repr__(self):
         return f"AttachmentSquare(n={self.n}, attach={self.attach!r}, disk={self.disk!r})"
+
+
+class SquareRow:
+    """The attaching squares of one stage, in order: one table, two rank rows.
+
+    Square k is its facets ``facets[k]`` and its disk ``tops[k]``, ranks in
+    ``table``.  The row reads as a sequence of ``AttachmentSquare``s, each
+    made only when indexed; a slice is a row.  Rows compare by ranks.
+    """
+
+    def __init__(self, table: SquareTable, facets, tops):
+        self.table, self.facets, self.tops = table, facets, tops
+
+    def __len__(self):
+        return len(self.tops)
+
+    def __getitem__(self, k):
+        kind = SquareRow if isinstance(k, slice) else AttachmentSquare
+        return kind(self.table, self.facets[k], self.tops[k])
+
+    def __eq__(self, other):
+        if not isinstance(other, SquareRow):
+            return NotImplemented
+        return (self.tops == other.tops and self.facets == other.facets
+                and self.table.ranks_alike(other.table))
+
+    def line(self, k):
+        """The line of square k, which labels its cell."""
+        return self.table.line(self.facets[k], self.tops[k])
+
+    @cached_property
+    def index(self):
+        """The position of each square, keyed by its (facets, top)."""
+        return {sq: k for k, sq in enumerate(zip(self.facets, self.tops))}
 
 
 def square_commutes(sq: AttachmentSquare, p: SimplicialMap) -> bool:
@@ -342,7 +369,7 @@ def enumerate_squares(n, p_prev: SimplicialMap, budget: Budget | None = None):
     Simplices are handled as ranks in ``simplex_candidates`` order, so a
     rank tuple sorts like the simplices it stands for: a tuple's sort key
     is its attaching map, gathered as ranks from its facets' faces.  The
-    squares hold their facets and disk and share one ``SquareTable``.
+    squares are returned as one ``SquareRow`` over one ``SquareTable``.
     Every join step is charged to ``budget`` (a fresh ``Budget()`` if none
     is given).  ``p_prev`` may be the ``SquareTable`` of (n, p_prev).
     """
@@ -383,4 +410,5 @@ def enumerate_squares(n, p_prev: SimplicialMap, budget: Budget | None = None):
         if matches is not None:
             found.append((attach_flat(xs), xs, matches))
     found.sort(key=itemgetter(0))
-    return [AttachmentSquare(table, xs, b) for _, xs, matches in found for b in matches]
+    return SquareRow(table, [xs for _, xs, matches in found for _ in matches],
+                     [b for _, _, matches in found for b in matches])

@@ -20,8 +20,8 @@ dimension d lists exactly d+1 faces, in order d_0 .. d_d.  Round-trip
 
 A square line is ``square n=<n> attach[<token> ...] disk[<token> ...]``,
 the attaching map and the disk map by their generator assignments.  It
-is read against the ``SquareTable`` of its stage: ``format_square``
-joins the table's tokens, the same path as the cell labels, and
+is read against the ``SquareTable`` of its stage: ``format_square`` is
+the table's ``line``, which also makes the cell labels, and
 ``parse_square`` returns the table's square.
 
 A tower directory is canonical: ``tower_files`` is the one definition of
@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 import re
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 
 from .core import Simplex, SimplexRef, SimplicialMap, SimplicialSet, ValidationError
 from .core import validate
@@ -210,9 +210,8 @@ def parse_sset(text) -> SimplicialSet:
     ndims = int(dtoks[1])
     pos += 1
 
-    counts = [0] * ndims
-    faces = [[] for _ in range(ndims)]
-    labels = [[] for _ in range(ndims)]
+    # rows grow per dim header: a ``dims`` too large for the input runs out of lines
+    counts, faces, labels = [], [], []
     for d in range(ndims):
         no, cline = expect("dim header")
         ctoks = cline.split()
@@ -220,7 +219,9 @@ def parse_sset(text) -> SimplicialSet:
                 or not _is_count(ctoks[1]) or not _is_count(ctoks[3])
                 or int(ctoks[1]) != d):
             raise ParseError(f"expected 'dim {d} count <c>'", no)
-        counts[d] = int(ctoks[3])
+        counts.append(int(ctoks[3]))
+        faces.append([])
+        labels.append([])
         pos += 1
         for g in range(counts[d]):
             no, gline = expect("generator")
@@ -336,16 +337,8 @@ def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
 # ---------------------------------------------------------------------------
 
 def format_square(sq: AttachmentSquare) -> str:
-    """The square's line, joined from its table's tokens like its cell's label."""
-    t = sq.table
-    return square_text(sq.n, t.attach_text(sq.facets), t.disk_text[sq.top])
-
-
-def square_text(n, attach, disk) -> str:
-    """The one line of a square, from the tokens of its attaching map and
-    of its disk, each joined by spaces in generator order; also the label
-    of the square's cell."""
-    return f"square n={n} attach[{attach}] disk[{disk}]"
+    """The square's line, its table's ``line``, which is its cell's label."""
+    return sq.table.line(sq.facets, sq.top)
 
 
 _SQUARE_RE = re.compile(r"^square n=(\d+) attach\[(.*)\] disk\[(.*)\]$")
@@ -432,13 +425,13 @@ class _TowerLines:
             self.gens[0] += _gen_lines(X)[0][old:]
             self.proj[0] += _map_lines(tower.projections[0].assign)[0][old:]
         elif tower.squares[n]:
-            t = tower.squares[n][0].table
-            for g, sq in enumerate(tower.squares[n], old):
-                faces = " ".join(map(t.tokens_a[n - 1].__getitem__, sq.facets))
-                label = square_text(n, t.attach_text(sq.facets), t.disk_text[sq.top])
+            row = tower.squares[n]
+            new = islice(X.labels[n], old, None)  # each label made as it is written
+            for g, (xs, b, label) in enumerate(zip(row.facets, row.tops, new), old):
+                faces = " ".join(map(row.table.tokens_a[n - 1].__getitem__, xs))
                 labels.append(label + "\n")
                 self.gens[n].append(f'gen {n}:{g} label "{label}" faces {faces}\n')
-                self.proj[n].append(f"gen {n}:{g} -> {t.tokens_b[n][sq.top]}\n")
+                self.proj[n].append(f"gen {n}:{g} -> {row.table.tokens_b[n][b]}\n")
         yield f"stage_{n}.sset", _sset_chunks(X.counts, self.gens)
         yield f"include_{n}.smap", _smap_chunks(below.counts, [
             [f"gen {d}:{g} -> (|{d}:{g})\n" for g in range(c)]

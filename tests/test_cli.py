@@ -383,6 +383,17 @@ class TestUntrustedFiles:
         assert main(["homology", str(bad)]) == 2
         assert "not valid UTF-8" in one_error_line(capsys)
 
+    def test_dims_beyond_the_input_exit_2(self, circle_tower, tmp_path, capsys):
+        # refused when the lines run out, before a row per dimension is made
+        bad = tmp_path / "huge.sset"
+        bad.write_text("sset v1\ndims 99999999999\n")
+        want = "error: line 2: unexpected end of input, wanted dim header\n"
+        assert main(["homology", str(bad)]) == 2
+        assert one_error_line(capsys) == want
+        (circle_tower / "input.sset").write_text(bad.read_text())
+        assert main(["homology", str(circle_tower)]) == 2
+        assert one_error_line(capsys) == want
+
     def test_non_utf8_tower_file_exit_2(self, circle_tower, capsys):
         stage = circle_tower / "stage_1.sset"
         stage.write_bytes(stage.read_bytes().replace(b"point", b"p\xffint", 1))

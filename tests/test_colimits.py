@@ -5,8 +5,6 @@ from itertools import product
 
 import pytest
 
-import cwtower.colimits
-import cwtower.textio
 from cwtower import (
     AttachmentSquare,
     SimplicialSet,
@@ -32,7 +30,7 @@ from cwtower import (
 )
 from cwtower.core import LabelRow, Simplex, SimplexRef, SimplicialMap, boundary_inclusion
 from cwtower.core import inclusion
-from cwtower.homsearch import SquareTable
+from cwtower.homsearch import SquareRow, SquareTable
 
 from util import assert_stage_glues_oracle, oracle_enumerate_squares, oracle_square_line
 from util import vertex_with_loop
@@ -80,15 +78,6 @@ class TestAttachCells:
             assert is_simplicial_subset(incl)
             assert compose(p2, incl) == p
 
-    def test_dimension_mismatch_rejected(self):
-        X = standard_simplex(0)
-        p = point_projection(X)
-        sq1 = enumerate_squares(1, p)
-        X2, _, p2 = attach_cells(X, sq1, p)
-        sq2 = enumerate_squares(2, p2)
-        with pytest.raises(ValidationError):
-            attach_cells(X2, [sq2[0], sq1[0]], p2)
-
     def test_commutativity_violation_rejected(self):
         X = standard_simplex(0)
         p = point_projection(X)
@@ -99,16 +88,17 @@ class TestAttachCells:
             attach_cells(X, squares, q)  # squares were built over p, not q
 
     def test_mismatched_disk_rejected(self):
-        # a square of a second search over the same projection, with the
-        # attaching map of one real square and the disk of another
+        # a row of a second search over the same projection, whose square 1
+        # has the attaching map of one real square and the disk of another
         T = cw_tower(boundary_simplex(2), 1)
         p = T.projections[0]
         good = T.squares[1]
-        again = enumerate_squares(1, p)[0].table
+        again = enumerate_squares(1, p).table
         bad = AttachmentSquare(again, good[0].facets, good[-1].top)
-        assert again is not good[0].table and not square_commutes(bad, p)
+        assert again is not good.table and not square_commutes(bad, p)
+        row = SquareRow(again, [good[0].facets, bad.facets], [good[0].top, bad.top])
         with pytest.raises(ValidationError, match="square 1: attaching square does not commute"):
-            attach_cells(T.stages[0], good[:1] + [bad], p)
+            attach_cells(T.stages[0], row, p)
 
     @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
                                    boundary_simplex(2), standard_simplex(2)],
@@ -128,10 +118,11 @@ class TestAttachCells:
         p = T.projections[0]
         good = T.squares[1]
         assert good[0].table is good[-1].table
-        bad = AttachmentSquare(good[0].table, good[0].facets, good[-1].top)
+        bad = AttachmentSquare(good.table, good[0].facets, good[-1].top)
         assert not square_commutes(bad, p)
+        row = SquareRow(good.table, good.facets[:1] + [bad.facets], good.tops[:1] + [bad.top])
         with pytest.raises(ValidationError, match="square 1: attaching square does not commute"):
-            attach_cells(T.stages[0], good[:1] + [bad], p)
+            attach_cells(T.stages[0], row, p)
 
     def test_square_outside_the_stage_rejected(self):
         # a square of the circle's stage 1 cannot be ranked over the point's
@@ -139,14 +130,6 @@ class TestAttachCells:
         P = cw_tower(standard_simplex(0), 1)
         with pytest.raises(ValidationError, match="does not land in X"):
             attach_cells(P.stages[0], T.squares[1][:1], P.projections[0])
-
-    def test_squares_of_two_searches_glue_together(self):
-        # two tables of one (n, p) rank alike
-        T = cw_tower(boundary_simplex(2), 1)
-        X, p = T.stages[0], T.projections[0]
-        mixed = T.squares[1][:1] + enumerate_squares(1, p)[1:]
-        assert mixed[0].table is not mixed[1].table
-        assert attach_cells(X, mixed, p) == (T.stages[1], T.inclusions[1], T.projections[1])
 
 
 def full_walk(X):
@@ -158,8 +141,8 @@ def broken_point_stage():
     """Stage 3 of the point tower glued from one square whose facets break
     d_i x_j = d_{j-1} x_i; attach_cells accepts it, since its disk commutes."""
     T = cw_tower(standard_simplex(0), 2)
-    sq = AttachmentSquare(SquareTable(3, T.projections[2]), (0, 0, 0, 1), 0)
-    return attach_cells(T.stages[2], [sq], T.projections[2])
+    row = SquareRow(SquareTable(3, T.projections[2]), [(0, 0, 0, 1)], [0])
+    return attach_cells(T.stages[2], row, T.projections[2])
 
 
 class TestStageReport:
@@ -276,8 +259,7 @@ class TestLabelView:
         def refuse(*args):
             raise AssertionError("a label was made")
 
-        monkeypatch.setattr(cwtower.colimits, "square_text", refuse)
-        monkeypatch.setattr(cwtower.textio, "square_text", refuse)
+        monkeypatch.setattr(SquareTable, "line", refuse)
         X = boundary_simplex(2)
         edges = [{SimplexRef(0, 0), SimplexRef(0, 1), SimplexRef(1, 0)},
                  {SimplexRef(0, 0), SimplexRef(0, 2), SimplexRef(1, 1)}]

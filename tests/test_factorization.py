@@ -24,6 +24,8 @@ from cwtower import (
     identity_tower_map,
     induced_tower_map,
     is_simplicial_subset,
+    load_tower,
+    save_tower,
     standard_simplex,
     subcomplex,
     validate,
@@ -502,3 +504,51 @@ class TestNoPerSquareMaps:
         for sq in T.squares[2]:
             assert is_cellular(sq) and "attach" not in vars(sq)
             assert is_cellular(sq.attach)
+
+
+class TestNoSquareObjects:
+    """Builds, writes, replays, suites and homology read each stage's
+    squares off its row's ranks: none of them makes a square object."""
+
+    @pytest.fixture(autouse=True)
+    def no_squares(self, monkeypatch):
+        def refuse(sq, *args):
+            raise AssertionError("a square object was made")
+
+        monkeypatch.setattr(AttachmentSquare, "__init__", refuse)
+
+    def test_refused(self):
+        with pytest.raises(AssertionError, match="square object"):
+            cw_tower(boundary_simplex(2), 1).squares[1][0]
+
+    @pytest.mark.parametrize("variant", ["all-maps", "cellular"])
+    def test_build_save_and_replay(self, tmp_path, variant):
+        T = cw_tower(boundary_simplex(2), 3, variant)
+        assert [len(row) for row in T.squares] == [0, 6, 36, 1017]
+        save_tower(T, tmp_path / "t")
+        assert load_tower(tmp_path / "t") == T
+
+    def test_intersection(self):
+        ok, reports = check_intersection(boundary_simplex(2), [EDGE01, EDGE02], 3)
+        assert ok and len(reports) == 4
+
+    def test_suites_and_homology(self, tmp_path, capsys):
+        pt, iv, X = standard_simplex(0), standard_simplex(1), boundary_simplex(2)
+        S, incl = subcomplex(X, EDGE01)
+        files = {"pt.sset": format_sset(pt), "iv.sset": format_sset(iv),
+                 "g.smap": format_smap(enumerate_maps(pt, iv)[0]),
+                 "e.sset": format_sset(S), "c.sset": format_sset(X),
+                 "i.smap": format_smap(incl)}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        path = {name: str(tmp_path / name) for name in files}
+        for argv in (["functor", path["pt.sset"], path["iv.sset"], path["g.smap"]],
+                     ["subcomplex", path["e.sset"], path["c.sset"], path["i.smap"]]):
+            assert main(["verify", "--suite", *argv, "--max-dim", "3"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines and all(line.startswith("PASS ") for line in lines)
+        assert main(["build", path["c.sset"], "--max-dim", "3",
+                     "--out", str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        assert main(["homology", str(tmp_path / "t"), "--stage", "3"]) == 0
+        assert capsys.readouterr().out

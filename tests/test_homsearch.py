@@ -23,7 +23,8 @@ from cwtower import (
 )
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, face_closure_errors
 from cwtower.core import validate
-from cwtower.homsearch import Budget, BudgetExceeded, SquareTable, simplex_candidates
+from cwtower.homsearch import Budget, BudgetExceeded, SquareRow, SquareTable
+from cwtower.homsearch import simplex_candidates
 
 from util import (
     SEED,
@@ -333,3 +334,47 @@ class TestGrowingTable:
     @given(st.integers(0, 2**32 - 1))
     def test_random_one_dimensional_targets(self, seed):
         assert_grown_tables_fresh(cw_tower(random_one_dim_target(random.Random(seed)), 2))
+
+
+class TestRankEquality:
+    """Squares and rows compare by ranks: candidates depend only on n, the
+    stage and the target, so two builds of one tower rank alike."""
+
+    def test_rows_of_two_builds_compare_the_stage_once(self, monkeypatch):
+        T, T2 = cw_tower(boundary_simplex(2), 3), cw_tower(boundary_simplex(2), 3)
+        assert T.squares[3].table is not T2.squares[3].table
+        calls, real = [], SimplicialSet.__eq__
+        monkeypatch.setattr(SimplicialSet, "__eq__",
+                            lambda a, b: calls.append(1) or real(a, b))
+        assert T.squares[3] == T2.squares[3] and len(calls) <= 2
+        assert T.squares[2][5:9] == T2.squares[2][5:9] != T2.squares[2][5:8]
+
+    def test_row_over_another_target_unequal(self):
+        # the point's stage 1 and the loop's: one vertex each, so the same
+        # stage, and square 0 has the same ranks over different disks
+        row = cw_tower(standard_simplex(0), 1).squares[1]
+        loop = cw_tower(vertex_with_loop(), 1).squares[1][:1]
+        assert (row.facets, row.tops) == (loop.facets, loop.tops)
+        assert row.table.p.dom == loop.table.p.dom
+        assert row != loop and loop != row and row[0] != loop[0]
+
+    def test_edited_disk_rank_unequal(self):
+        row = cw_tower(boundary_simplex(2), 2).squares[2]
+        tops = list(row.tops)
+        tops[-1] = (tops[-1] + 1) % len(row.table.cand_b[2])
+        edited = SquareRow(row.table, row.facets, tops)
+        assert row != edited and edited != row and row[-1] != edited[-1]
+        assert row[:-1] == edited[:-1]
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_squares_equal_exactly_when_their_maps_are(self, seed, same):
+        # two independent builds, of one target or of two
+        B = random_one_dim_target(random.Random(seed))
+        B2 = B if same else random_one_dim_target(random.Random(seed + 1))
+        T, T2 = cw_tower(B, 2), cw_tower(B2, 2)
+        for a in (sq for n in (1, 2) for sq in T.squares[n][:12]):
+            for b in (sq for n in (1, 2) for sq in T2.squares[n][:12]):
+                assert (a == b) == ((a.attach, a.disk) == (b.attach, b.disk))
+                if a == b:
+                    assert hash(a) == hash(b)

@@ -106,6 +106,25 @@ class TestSsetFormat:
             parse_sset(text)
         assert exc.value.line == 4  # vertex with a face list
 
+    @pytest.mark.parametrize("text, message", [
+        ("sset v1\n", "line 1: unexpected end of input, wanted dims"),
+        ("sset v1\ndims 2\n", "line 2: unexpected end of input, wanted dim header"),
+        ("sset v1\ndims 99999999999\n", "line 2: unexpected end of input, wanted dim header"),
+        ("sset v1\ndims 2\ndim 0 count 1\ngen 0:0\n",
+         "line 4: unexpected end of input, wanted dim header"),
+        ("sset v1\ndims 1\ndim 0 count 3\ngen 0:0\n",
+         "line 4: unexpected end of input, wanted generator"),
+        ("sset v1\ndims 3\ndim 0 count 99999999999\n",
+         "line 3: unexpected end of input, wanted generator"),
+        ("sset v1\ndims 2\ndim 0 count 1\ngen 0:0\ndim 1 count 1\n",
+         "line 5: unexpected end of input, wanted generator"),
+    ])
+    def test_truncated_input(self, text, message):
+        # a count larger than the input can hold runs out of lines first
+        with pytest.raises(ParseError) as exc:
+            parse_sset(text)
+        assert str(exc.value) == message
+
     def test_version_required(self):
         with pytest.raises(ParseError):
             parse_sset("dims 1\ndim 0 count 1\ngen 0:0\n")
