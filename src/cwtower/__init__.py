@@ -22,8 +22,6 @@ from .core import (
     empty_map,
     face,
     identity_map,
-    intersect_subsets,
-    is_simplicial_subset,
     map_errors,
     standard_simplex,
     subcomplex,

@@ -410,17 +410,12 @@ def check_map(f: SimplicialMap) -> SimplicialMap:
     return f
 
 
-def is_simplicial_subset(f: SimplicialMap) -> bool:
-    """True iff f is the inclusion of a simplicial subset.
+def subset_witness(f: SimplicialMap):
+    """None if f is a subset inclusion, else the first offending generator.
 
     Generators must land on nondegenerate simplices, injectively per
     dimension; faces then match because f is a simplicial map.
     """
-    return subset_witness(f) is None
-
-
-def subset_witness(f: SimplicialMap):
-    """None if f is a subset inclusion, else the first offending generator."""
     for d in range(len(f.dom.counts)):
         seen = set()
         for g in range(f.dom.counts[d]):
@@ -538,15 +533,3 @@ def subcomplex(X: SimplicialSet, gens):
         for d in range(len(S.counts))))
     return S, incl
 
-
-def intersect_subsets(X: SimplicialSet, subs) -> SimplicialSet:
-    """The intersection of a family of face-closed generator subsets of X."""
-    subs = [set(s) for s in subs]
-    if not subs:
-        raise ValidationError("intersect_subsets needs at least one subset")
-    for k, s in enumerate(subs):
-        errs = face_closure_errors(X, s)
-        if errs:
-            raise ValidationError(f"member {k} is not face-closed: " + errs[0])
-    inter = set.intersection(*subs)
-    return subcomplex(X, inter)[0]

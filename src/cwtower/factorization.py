@@ -31,10 +31,8 @@ from .core import (
 )
 from .homsearch import (
     DEFAULT_BUDGET,
-    AttachmentSquare,
     Budget,
     BudgetExceeded,
-    SquareRow,
     SquareTable,
     enumerate_squares,
 )
@@ -75,23 +73,16 @@ class Tower:
         return self.stages[self.cap]
 
 
-def is_cellular(f) -> bool:
-    """True iff f carries each k-skeleton into the k-skeleton.
+def is_cellular(squares) -> bool:
+    """True iff every attaching map of ``squares`` (a square or a row of
+    them) carries each k-skeleton into the k-skeleton, as read off the
+    dimensions of their table's candidates, without building a map.
 
     In the simplicial model the image of a k-generator has total
     dimension k, so this holds for every simplicial map; the check is
-    kept executable so the variant coincidence is observable.  ``f`` is a
-    simplicial map, or an attaching square or a row of them, which stands
-    for its attaching maps and is read off the dimensions of its table's
-    candidates, without building a map.
+    kept executable so the variant coincidence is observable.
     """
-    if isinstance(f, (AttachmentSquare, SquareRow)):
-        return f.table.cellular
-    for d in range(len(f.dom.counts)):
-        for g in range(f.dom.counts[d]):
-            if f.assign[d][g].gen.dim > d:
-                return False
-    return True
+    return squares.table.cellular
 
 
 def build_tower(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",

@@ -26,28 +26,13 @@ import numpy as np
 from .core import SimplicialMap, SimplicialSet, ValidationError
 
 
-def int_matrix(rows, ncols=None):
-    """An object-dtype integer matrix from nested lists."""
-    rows = [list(map(int, r)) for r in rows]
-    if not rows:
-        return np.zeros((0, 0 if ncols is None else ncols), dtype=object)
-    a = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, r in enumerate(rows):
-        a[i, :] = r
-    return a
-
-
+# numpy fills object-dtype zeros and identities with the Python ints 0 and 1
 def zeros(m, n):
-    a = np.empty((m, n), dtype=object)
-    a[:, :] = 0
-    return a
+    return np.zeros((m, n), dtype=object)
 
 
 def identity(n):
-    a = zeros(n, n)
-    for i in range(n):
-        a[i, i] = 1
-    return a
+    return np.identity(n, dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +41,6 @@ def identity(n):
 #
 # A sparse matrix is a list of columns, each a dict {row: nonzero entry};
 # the row count travels separately.
-
-def _columns(M):
-    """The sparse columns of a dense integer matrix."""
-    return [{i: int(v) for i, v in enumerate(M[:, j]) if v != 0}
-            for j in range(M.shape[1])]
-
 
 def _dense(cols, nrows):
     out = zeros(nrows, len(cols))
@@ -347,27 +326,6 @@ def _solve(cols, nrows, rhs):
     return [_apply(red.V, y) for y in ys]
 
 
-def invariant_factors(M):
-    M = np.asarray(M, dtype=object)
-    return _factors(_columns(M), M.shape[0])
-
-
-def kernel_basis(M):
-    """Columns forming a basis of the integer kernel lattice of M."""
-    M = np.asarray(M, dtype=object)
-    return _dense(_kernel(_columns(M), M.shape[0]), M.shape[1])
-
-
-def solve_int(A, B):
-    """An integer X with A X = B, or None if no integral solution exists."""
-    A = np.asarray(A, dtype=object)
-    B = np.asarray(B, dtype=object)
-    if A.shape[0] != B.shape[0]:
-        raise ValueError("row count mismatch")
-    X = _solve(_columns(A), A.shape[0], _columns(B))
-    return None if X is None else _dense(X, A.shape[1])
-
-
 # ---------------------------------------------------------------------------
 # Chain complexes and homology
 # ---------------------------------------------------------------------------
@@ -392,10 +350,6 @@ class ChainComplex:
         if 1 <= n < len(self.ranks):
             return self.columns[n - 1]
         return [{} for _ in range(self.rank(n))]
-
-    def boundary(self, n):
-        """The boundary matrix in degree n (rank_{n-1} x rank_n), dense."""
-        return _dense(self.boundary_columns(n), self.rank(n - 1))
 
     def factors(self, n):
         """The invariant factors of the boundary in degree n."""
@@ -495,11 +449,6 @@ def _chain_map_columns(f: SimplicialMap, i):
     return [{} if img.word else {img.gen.index: 1} for img in row]
 
 
-def chain_map_matrix(f: SimplicialMap, i):
-    """The degree-i matrix of the induced map on normalized chains."""
-    return _dense(_chain_map_columns(f, i), f.cod.count(i))
-
-
 @dataclass
 class HomologyMap:
     """Induced map on H_degree in fixed cycle-lattice bases."""
@@ -596,9 +545,6 @@ class ConnectivityReport:
         if self.h_epi_at is not None:
             out[f"h{self.stage}_epi"] = self.h_epi_at
         return out
-
-    def all_true(self):
-        return all(self.populated().values())
 
 
 def connectivity_report(tower, n, simply_connected_B=False) -> ConnectivityReport:

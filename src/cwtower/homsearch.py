@@ -225,8 +225,12 @@ class SquareTable:
         self.cand_a, self.rank_a, self.faces_a, self.tokens_a = _grow(p.dom, n - 1, *a)
         self.cand_b, self.rank_b, self.faces_b, self.tokens_b = _grow(p.cod, n, *b)
         self.p_top = [self.rank_b[n - 1][p(s)] for s in self.cand_a[n - 1]]
-        dims = _yoneda_plan(n)[0]
-        self.token_rows = [self.tokens_a[d] for d in dims[:-1]], [self.tokens_b[d] for d in dims]
+
+    @cached_property
+    def token_rows(self):
+        """The token rows that attaching-map and disk ranks index, made on first use."""
+        dims = _yoneda_plan(self.n)[0]
+        return [self.tokens_a[d] for d in dims[:-1]], [self.tokens_b[d] for d in dims]
 
     @cached_property
     def yoneda_a(self):

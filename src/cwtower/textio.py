@@ -73,9 +73,10 @@ def parse_simplex(token, line=None) -> Simplex:
         raise ParseError(str(e), line) from None
 
 
-# Tokens repeat across the lines and files of a tower, and a Simplex is
-# immutable, so each distinct token is parsed once.  A bad token raises,
-# and lru_cache keeps no entry for it.
+# Tokens repeat across the lines of the .sset and .smap inputs that each
+# command parses (a tower directory is replayed, not parsed), and a
+# Simplex is immutable, so each distinct token is parsed once per process.
+# A bad token raises, and lru_cache keeps no entry for it.
 @lru_cache(maxsize=1 << 14)
 def _simplex_of(token) -> Simplex:
     m = _SIMPLEX_RE.match(token.strip())

@@ -30,14 +30,20 @@ from cwtower import (
     identity_tower_map,
     induced_homology_map,
     induced_tower_map,
-    is_simplicial_subset,
     standard_simplex,
     subcomplex,
 )
 from cwtower.cli import main
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion
 
-from util import SEED, oracle_enumerate_maps, oracle_square_line, random_one_dim_target
+from util import (
+    SEED,
+    all_true,
+    is_simplicial_subset,
+    oracle_enumerate_maps,
+    oracle_square_line,
+    random_one_dim_target,
+)
 
 R = SimplexRef
 EDGE01 = {R(0, 0), R(0, 1), R(1, 0)}
@@ -58,7 +64,7 @@ def test_criterion_1_point_tower():
     h2 = homology(T.stages[2], 2)
     ok = ok and h1.is_trivial() and (h2.betti, h2.torsion) == (7, ())
     for n in range(3):
-        ok = ok and connectivity_report(T, n, simply_connected_B=True).all_true()
+        ok = ok and all_true(connectivity_report(T, n, simply_connected_B=True))
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 1.0
     emit(1, f"point tower growth, homology, connectivity ({elapsed:.2f}s)", ok)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import cwtower.factorization
+import cwtower.homsearch as homsearch
 from cwtower import (
     SimplexRef,
     SimplicialSet,
@@ -399,6 +400,104 @@ class TestUntrustedFiles:
         stage.write_bytes(stage.read_bytes().replace(b"point", b"p\xffint", 1))
         assert main(["homology", str(circle_tower)]) == 2
         assert "stage_1.sset" in one_error_line(capsys)
+
+
+SMAP_BUILD = ["build", "{circle}", "--domain", "{point}", "--map", "{tmp}/map.smap",
+              "--out", "{tmp}/t"]
+INTERSECT = ["verify", "--suite", "intersect", "{circle}", "{tmp}/family.txt"]
+SSET = "sset v1\ndims 2\ndim 0 count 1\ngen 0:0\ndim 1 count 1\n"
+
+
+class TestInputErrors:
+    """Each malformed input exits 2 with exactly its one ``error:`` line.
+
+    A case is (argv, the file it names under tmp_path, that file's text,
+    the message); ``{circle}``, ``{point}`` and ``{tmp}`` are filled in.
+    """
+
+    @pytest.mark.parametrize("argv, name, text, message", [
+        pytest.param(INTERSECT, "family.txt", "# none\n",
+                     "family file lists no subsets", id="family-empty"),
+        pytest.param(INTERSECT, "family.txt", "subcomplex 0:0\n",
+                     "line 1: family lines start with 'subset'", id="family-keyword"),
+        pytest.param(INTERSECT, "family.txt", "subset 0:0\nsubset 0:x\n",
+                     "line 2: bad generator id '0:x'", id="family-generator"),
+        pytest.param(["verify", "--suite", "functor", "{circle}"], None, None,
+                     "suite 'functor' needs B.sset B'.sset map.smap", id="suite-inputs"),
+        pytest.param(["homology", "{tmp}/bad.sset"], "bad.sset", "# nothing\n",
+                     "empty input", id="sset-empty"),
+        pytest.param(["homology", "{tmp}/bad.sset"], "bad.sset",
+                     "sset v1\ndims 1\ndim 0 count 1\ngen 0:0\ngen 0:1\n",
+                     "line 5: trailing content after simplicial set", id="sset-trailing"),
+        pytest.param(["homology", "{tmp}/bad.sset"], "bad.sset",
+                     SSET + "gen 1:0 faces (|0:0) (|0:5)\n",
+                     "invalid simplicial set: generator 1:0 face 1: dangling generator"
+                     " reference 0:5", id="sset-invalid"),
+        pytest.param(["homology", "{tmp}/bad.sset"], "bad.sset",
+                     "sset v1\ndims 1\ndim 0 count 1\ngen 0:0 label\n",
+                     "line 4: label needs a quoted string", id="sset-label"),
+        pytest.param(["homology", "{tmp}/bad.sset"], "bad.sset",
+                     "sset v1\ndims 1\ndim 0 count 1\ngen 0:0 bogus\n",
+                     "line 4: unexpected token 'bogus'", id="sset-token"),
+        pytest.param(["homology", "{tmp}/bad.sset"], "bad.sset",
+                     SSET + "gen 1:0 faces (|0:0)\n",
+                     "line 6: generator 1:0 needs exactly 2 faces", id="sset-face-count"),
+        pytest.param(["homology", "{tmp}/bad.sset"], "bad.sset",
+                     SSET + "gen 1:0 faces (|0:0) (|0:0\n",
+                     "line 6: unterminated simplex token", id="sset-unterminated"),
+        pytest.param(SMAP_BUILD, "map.smap", "smap v2\n",
+                     "line 1: expected 'smap v1' header", id="smap-header"),
+        pytest.param(SMAP_BUILD, "map.smap", "smap v1\ngen 0:0 (|0:0)\n",
+                     "line 2: expected 'gen <d>:<i> -> <simplex>'", id="smap-line"),
+        pytest.param(SMAP_BUILD, "map.smap", "smap v1\ngen x:0 -> (|0:0)\n",
+                     "line 2: bad generator id 'x:0'", id="smap-generator"),
+        pytest.param(SMAP_BUILD, "map.smap", "smap v1\ngen 0:0 -> (|0:0)\ngen 0:0 -> (|0:1)\n",
+                     "line 3: duplicate assignment for 0:0", id="smap-duplicate"),
+        pytest.param(SMAP_BUILD, "map.smap", "smap v1\ngen 0:0 -> (|0:0)\ngen 0:1 -> (|0:1)\n",
+                     "assignment for unknown generator 0:1", id="smap-unknown"),
+        pytest.param(["homology", "{tmp}/tower"], "tower/meta.txt",
+                     "tower v9\nvariant all-maps\ncap 2\n",
+                     "unsupported tower format 'v9'", id="tower-format"),
+        pytest.param(["build", "{circle}", "--max-dim", "-1", "--out", "{tmp}/t"], None, None,
+                     "cap must be >= 0", id="build-cap"),
+    ])
+    def test_exit_2_with_one_line(self, circle_file, point_file, tmp_path, capsys,
+                                  argv, name, text, message):
+        if name:
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        fill = {"circle": circle_file, "point": point_file, "tmp": str(tmp_path)}
+        assert main([arg.format(**fill) for arg in argv]) == 2
+        assert tuple(capsys.readouterr()) == ("", f"error: {message}\n")
+
+
+class TestEmptyTarget:
+    """Over an empty target no stage has a square, and no stage makes the
+    2^(n+1)-entry Yoneda plan of its dimension."""
+
+    @pytest.fixture(autouse=True)
+    def small_plans_only(self, monkeypatch):
+        plan = homsearch._yoneda_plan
+
+        def small(n):
+            if n > 3:
+                raise AssertionError(f"Yoneda plan of dimension {n} made")
+            return plan(n)
+
+        monkeypatch.setattr(homsearch, "_yoneda_plan", small)
+
+    def test_cw_tower(self):
+        T = cw_tower(SimplicialSet.empty(), 40, budget=0)
+        assert len(T.stages) == 41
+        assert all(X == SimplicialSet.empty() for X in T.stages)
+
+    def test_build_and_homology(self, empty_file, tmp_path, capsys):
+        out = str(tmp_path / "t")
+        assert main(["build", empty_file, "--max-dim", "40", "--budget", "0",
+                     "--out", out]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "40,40,0,0"
+        assert main(["homology", out, "--stage", "40"]) == 0
+        assert capsys.readouterr().out == "degree=0 betti=0 torsion=[] group=0\n"
 
 
 @pytest.fixture

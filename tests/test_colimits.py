@@ -22,7 +22,6 @@ from cwtower import (
     format_sset,
     identity_map,
     induced_tower_map,
-    is_simplicial_subset,
     square_commutes,
     stage_zero,
     standard_simplex,
@@ -33,7 +32,7 @@ from cwtower.core import inclusion
 from cwtower.homsearch import SquareRow, SquareTable
 
 from util import assert_stage_glues_oracle, oracle_enumerate_squares, oracle_square_line
-from util import vertex_with_loop
+from util import is_simplicial_subset, vertex_with_loop
 
 
 def point_projection(X):

@@ -12,15 +12,13 @@ from cwtower import (
     boundary_simplex,
     face,
     identity_map,
-    intersect_subsets,
-    is_simplicial_subset,
     standard_simplex,
     subcomplex,
     validate,
 )
 from cwtower.core import degenerate, face_closure_errors
 
-from util import SEED, vertex_with_loop
+from util import SEED, is_simplicial_subset, vertex_with_loop
 
 V = lambda i: Simplex((), SimplexRef(0, i))
 
@@ -177,30 +175,11 @@ class TestSubsets:
                 assert img not in seen
                 seen.add(img)
 
-    def test_intersect_adjacent_edges(self):
-        X = boundary_simplex(2)
-        e01 = {SimplexRef(0, 0), SimplexRef(0, 1), SimplexRef(1, 0)}
-        e02 = {SimplexRef(0, 0), SimplexRef(0, 2), SimplexRef(1, 1)}
-        got = intersect_subsets(X, [e01, e02])
-        assert got.counts == (1,)
-        assert got.labels[0][0] == X.labels[0][0]
-
-    def test_intersect_singleton(self):
-        X = boundary_simplex(2)
-        sub = {SimplexRef(0, 0), SimplexRef(0, 1), SimplexRef(1, 0)}
-        got = intersect_subsets(X, [sub])
-        assert got == subcomplex(X, sub)[0]
-
-    def test_intersect_disjoint_vertices(self):
-        X = boundary_simplex(2)
-        got = intersect_subsets(X, [{SimplexRef(0, 0)}, {SimplexRef(0, 1)}])
-        assert got == SimplicialSet.empty()
-
     def test_not_face_closed_rejected(self):
         X = boundary_simplex(2)
         assert face_closure_errors(X, {SimplexRef(1, 0)})
         with pytest.raises(ValidationError):
-            intersect_subsets(X, [{SimplexRef(1, 0)}])
+            subcomplex(X, {SimplexRef(1, 0)})
 
     def test_vertex_with_loop_validates(self):
         assert validate(vertex_with_loop()) == []

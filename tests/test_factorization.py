@@ -23,7 +23,6 @@ from cwtower import (
     identity_map,
     identity_tower_map,
     induced_tower_map,
-    is_simplicial_subset,
     load_tower,
     save_tower,
     standard_simplex,
@@ -37,7 +36,7 @@ from cwtower.factorization import _check_tower_map
 from cwtower.factorization import is_cellular
 from cwtower.homsearch import AttachmentSquare
 
-from util import oracle_induced_stage_maps
+from util import is_cellular_map, is_simplicial_subset, oracle_induced_stage_maps
 from util import random_one_dim_target
 from util import vertex_with_loop
 
@@ -140,7 +139,7 @@ class TestVariantCoincidence:
     def test_filter_is_identity(self):
         T = cw_tower(standard_simplex(0), 2)
         for n in (1, 2):
-            assert all(is_cellular(sq.attach) for sq in T.squares[n])
+            assert all(is_cellular_map(sq.attach) for sq in T.squares[n])
 
     def test_cellular_build_asserts_every_stage(self, never_cellular):
         with pytest.raises(AssertionError, match="stage 1"):
@@ -503,7 +502,7 @@ class TestNoPerSquareMaps:
         T = cw_tower(standard_simplex(1), 2)
         for sq in T.squares[2]:
             assert is_cellular(sq) and "attach" not in vars(sq)
-            assert is_cellular(sq.attach)
+            assert is_cellular_map(sq.attach)
 
 
 class TestNoSquareObjects:

@@ -2,6 +2,8 @@
 
 from itertools import product
 
+import numpy as np
+
 from cwtower import (
     Simplex,
     SimplexRef,
@@ -14,6 +16,8 @@ from cwtower import (
     map_errors,
     standard_simplex,
 )
+from cwtower.core import subset_witness
+from cwtower.homology import _chain_map_columns, _dense, _factors, _kernel, _solve
 from cwtower.homsearch import simplex_candidates
 from cwtower.textio import format_simplex
 
@@ -151,3 +155,56 @@ def integer_determinant(M):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def is_simplicial_subset(f):
+    """True iff f is the inclusion of a simplicial subset."""
+    return subset_witness(f) is None
+
+
+def is_cellular_map(f):
+    """True iff the simplicial map f carries each k-skeleton into the k-skeleton."""
+    return all(s.gen.dim <= d for d, row in enumerate(f.assign) for s in row)
+
+
+def all_true(report):
+    """Every populated facet of a ``ConnectivityReport`` holds."""
+    return all(report.populated().values())
+
+
+# Dense adapters over the sparse-column homology kernels
+
+def int_matrix(rows, ncols=0):
+    """An object-dtype integer matrix from nested lists."""
+    rows = [list(map(int, r)) for r in rows]
+    return np.array(rows, dtype=object) if rows else np.zeros((0, ncols), dtype=object)
+
+
+def _columns(M):
+    """The sparse columns of a dense integer matrix."""
+    return [{i: int(v) for i, v in enumerate(M[:, j]) if v != 0} for j in range(M.shape[1])]
+
+
+def invariant_factors(M):
+    return _factors(_columns(M), M.shape[0])
+
+
+def kernel_basis(M):
+    """Columns forming a basis of the integer kernel lattice of M."""
+    return _dense(_kernel(_columns(M), M.shape[0]), M.shape[1])
+
+
+def solve_int(A, B):
+    """An integer X with A X = B, or None if no integral solution exists."""
+    X = _solve(_columns(A), A.shape[0], _columns(B))
+    return None if X is None else _dense(X, A.shape[1])
+
+
+def boundary_matrix(cc, n):
+    """The boundary matrix of a chain complex in degree n (rank_{n-1} x rank_n), dense."""
+    return _dense(cc.boundary_columns(n), cc.rank(n - 1))
+
+
+def chain_map_matrix(f, i):
+    """The degree-i matrix of the map f induces on normalized chains."""
+    return _dense(_chain_map_columns(f, i), f.cod.count(i))
