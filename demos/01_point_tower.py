@@ -32,4 +32,4 @@ print("H_2 of stage 2:", homology(tower.stages[2], 2))
 print()
 for n in range(3):
     rep = connectivity_report(tower, n, simply_connected_B=True)
-    print(f"stage {n} projection checks: {rep.populated()}")
+    print(f"stage {n} projection checks: {rep.checks}")

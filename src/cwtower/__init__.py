@@ -56,7 +56,6 @@ from .homology import (
     connectivity_report,
     homology,
     induced_homology_map,
-    path_components,
     smith_normal_form,
 )
 from .textio import (

@@ -119,10 +119,10 @@ def _emit(line):
 # ---------------------------------------------------------------------------
 
 def cmd_build(args):
+    if bool(args.domain) != bool(args.map):
+        raise ParseError("--domain requires --map" if args.domain else "--map requires --domain")
     B = _load_sset(args.target)
     if args.domain:
-        if not args.map:
-            raise ParseError("--domain requires --map")
         A = _load_sset(args.domain)
         f = parse_smap(read_text(args.map), A, B)
     else:
@@ -191,7 +191,24 @@ def _parse_family(text):
     return family
 
 
+# the inputs each suite reads, in order
+_PAIR = "B.sset B'.sset map.smap"
+SUITE_INPUTS = {"functor": _PAIR, "subcomplex": _PAIR, "intersect": "X.sset family.txt",
+                "connectivity": "B.sset", "variant": "B.sset"}
+
+
 def cmd_verify(args):
+    usage = SUITE_INPUTS[args.suite]
+    want, got = len(usage.split()), len(args.inputs)
+    if got < want:
+        raise ParseError(f"suite {args.suite!r} needs {usage}")
+    if got > want:
+        plural = "s" if want > 1 else ""
+        raise ParseError(f"suite {args.suite!r} takes {want} input{plural}, got {got}")
+    if args.then and args.suite != "functor":
+        raise ParseError("--then requires --suite functor")
+    if args.simply_connected and args.suite != "connectivity":
+        raise ParseError("--simply-connected requires --suite connectivity")
     budget = _budget(args.budget, args.max_dim)
     failures = 0
 
@@ -217,7 +234,7 @@ def cmd_verify(args):
         tower = cw_tower(B, args.max_dim, args.variant, budget)
         for n in range(args.max_dim + 1):
             rep = connectivity_report(tower, n, args.simply_connected)
-            for check, ok in rep.populated().items():
+            for check, ok in rep.checks.items():
                 report(f"connectivity stage={n} {check}", ok)
 
     elif args.suite == "subcomplex":
@@ -251,8 +268,6 @@ def cmd_verify(args):
 
     elif args.suite == "intersect":
         X = _load_sset(args.inputs[0])
-        if len(args.inputs) < 2:
-            raise ParseError("intersect suite needs a family file")
         family = _parse_family(read_text(args.inputs[1]))
         ok, reports = check_intersection(X, family, args.max_dim, args.variant,
                                          budget)
@@ -261,15 +276,10 @@ def cmd_verify(args):
                    f"lhs={rep['intersection_size']}"
                    f" rhs={rep['tower_of_intersection_size']}")
 
-    else:
-        raise ParseError(f"unknown suite {args.suite!r}")
-
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def _load_pair_with_map(args):
-    if len(args.inputs) < 3:
-        raise ParseError(f"suite {args.suite!r} needs B.sset B'.sset map.smap")
     B = _load_sset(args.inputs[0])
     Bp = _load_sset(args.inputs[1])
     g = parse_smap(read_text(args.inputs[2]), B, Bp)
@@ -337,8 +347,7 @@ def make_parser():
 
     v = sub.add_parser("verify", help="run a theorem suite")
     v.add_argument("--suite", required=True,
-                   choices=["functor", "subcomplex", "intersect", "connectivity",
-                            "variant"])
+                   choices=list(SUITE_INPUTS))
     v.add_argument("inputs", nargs="+",
                    help="suite inputs: complexes, maps, or a family file")
     v.add_argument("--then", nargs=2, metavar=("SSET", "SMAP"),

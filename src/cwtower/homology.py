@@ -20,6 +20,7 @@ nonzero absolute value to limit entry growth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -93,14 +94,7 @@ def smith_normal_form(M):
         _clear_position(A, U, V, t)
         # enforce divisibility of the remaining block by the pivot
         p = A[t, t]
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i, j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next((i for i in range(t + 1, m) for j in range(t + 1, n) if A[i, j] % p), None)
         if bad is not None:
             A[t, :] += A[bad, :]
             U[t, :] += U[bad, :]
@@ -116,15 +110,10 @@ def smith_normal_form(M):
 def _move_pivot(A, U, V, t):
     """Move a minimal-magnitude nonzero entry of A[t:, t:] to (t, t)."""
     m, n = A.shape
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = A[i, j]
-            if v != 0 and (best is None or abs(v) < abs(A[best[0], best[1]])):
-                best = (i, j)
-    if best is None:
+    nonzero = [(i, j) for i in range(t, m) for j in range(t, n) if A[i, j] != 0]
+    if not nonzero:
         return False
-    _swap_to(A, U, V, t, *best)
+    _swap_to(A, U, V, t, *min(nonzero, key=lambda ij: abs(A[ij])))
     return True
 
 
@@ -455,8 +444,6 @@ class HomologyMap:
 
     degree: int
     matrix: object
-    source: HomologyGroup
-    target: HomologyGroup
     is_epi: bool
     is_iso: bool
 
@@ -482,112 +469,55 @@ def induced_homology_map(f: SimplicialMap, i, ccX=None, ccY=None) -> HomologyMap
     L = [{a: v for a, v in x.items() if a < kX}
          for x in _kernel(T + [{a: -v for a, v in w.items()} for w in WY], kY)]
     mono = _solve(WX, kX, L) is not None
-    return HomologyMap(degree=i, matrix=_dense(T, kY),
-                       source=homology_of_complex(ccX, i),
-                       target=homology_of_complex(ccY, i),
-                       is_epi=epi, is_iso=epi and mono)
+    return HomologyMap(degree=i, matrix=_dense(T, kY), is_epi=epi, is_iso=epi and mono)
 
 
 # ---------------------------------------------------------------------------
-# Path components and connectivity reports
+# Connectivity reports
 # ---------------------------------------------------------------------------
-
-def path_components(X: SimplicialSet):
-    """Vertex -> component id, via union-find over nondegenerate edges."""
-    parent = list(range(X.count(0)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in range(X.count(1)):
-        a = find(X.faces[1][e][0].gen.index)
-        b = find(X.faces[1][e][1].gen.index)
-        if a != b:
-            parent[a] = b
-    roots = {}
-    comp = []
-    for v in range(X.count(0)):
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        comp.append(roots[r])
-    return comp
-
 
 @dataclass
 class ConnectivityReport:
     """Computable facets of n-connectedness of a stage projection.
 
-    pi_0 is exact; homotopy groups in higher degrees are proxied by
-    integral homology, with the reliance recorded in ``caveats``.
+    ``checks`` maps each facet's name to its verdict, in the order they
+    are printed.  pi_0 is exact: H_0(X) is free on the path components
+    of X and H_0(p) extends p on components linearly, so H_0(p) is onto,
+    or an isomorphism, exactly when p is onto, or a bijection, on pi_0.
+    Homotopy groups in higher degrees are proxied by integral homology,
+    with the reliance recorded in ``caveats``.
     """
 
     stage: int
-    pi0_surjective: bool
-    pi0_bijective: bool = None
-    h1_epi: bool = None
-    h_iso_below: dict = None
-    h_epi_at: bool = None
-    caveats: tuple = ()
-
-    def populated(self):
-        out = {"pi0_surjective": self.pi0_surjective}
-        if self.pi0_bijective is not None:
-            out["pi0_bijective"] = self.pi0_bijective
-        if self.h1_epi is not None:
-            out["h1_epi"] = self.h1_epi
-        if self.h_iso_below is not None:
-            for k, v in sorted(self.h_iso_below.items()):
-                out[f"h{k}_iso"] = v
-        if self.h_epi_at is not None:
-            out[f"h{self.stage}_epi"] = self.h_epi_at
-        return out
+    checks: dict
+    caveats: tuple
 
 
 def connectivity_report(tower, n, simply_connected_B=False) -> ConnectivityReport:
     """Certify the computable facets of n-connectedness of p_n: A_n -> B."""
     if n < 0 or n > tower.cap:
         raise ValidationError(f"stage {n} out of range (cap {tower.cap})")
-    An = tower.stages[n]
-    B = tower.B
     p = tower.projections[n]
+    # one chain complex per object and one induced map per degree
+    ccA, ccB = chain_complex(p.dom), chain_complex(p.cod)
+    if simply_connected_B and not homology_of_complex(ccB, 1).is_trivial():
+        raise ValidationError(
+            "simply-connected flag set but the target has nontrivial H_1")
 
-    compA = path_components(An)
-    compB = path_components(B)
-    n_compB = (max(compB) + 1) if compB else 0
-    image = {compB[p.assign[0][v].gen.index] for v in range(An.count(0))}
-    surjective = len(image) == n_compB
+    @cache
+    def h(i):
+        return induced_homology_map(p, i, ccA, ccB)
+
+    checks = {"pi0_surjective": h(0).is_epi}
     caveats = ["homotopy groups in degree >= 1 are not computed; homology"
                " facets only"]
-    report = ConnectivityReport(stage=n, pi0_surjective=surjective)
     if n >= 1:
-        comp_map = {}
-        bijective = surjective
-        for v in range(An.count(0)):
-            a, b = compA[v], compB[p.assign[0][v].gen.index]
-            if comp_map.setdefault(a, b) != b:
-                bijective = False
-        if len(set(comp_map.values())) != len(comp_map):
-            bijective = False
-        report.pi0_bijective = bijective
-    # one chain complex per object for all degrees
-    ccA = chain_complex(An) if n >= 1 else None
-    ccB = chain_complex(B) if n >= 1 or simply_connected_B else None
-    if n >= 1:
-        report.h1_epi = induced_homology_map(p, 1, ccA, ccB).is_epi
-    if simply_connected_B:
-        if not homology_of_complex(ccB, 1).is_trivial():
-            raise ValidationError(
-                "simply-connected flag set but the target has nontrivial H_1")
-        if n >= 2:
-            report.h_iso_below = {i: induced_homology_map(p, i, ccA, ccB).is_iso
-                                  for i in range(n)}
-            report.h_epi_at = induced_homology_map(p, n, ccA, ccB).is_epi
-            caveats.append(
-                "H_* checks certify n-connectedness only when the stage is"
-                " simply connected")
-    report.caveats = tuple(caveats)
-    return report
+        checks["pi0_bijective"] = h(0).is_iso
+        checks["h1_epi"] = h(1).is_epi
+    if simply_connected_B and n >= 2:
+        checks.update({f"h{i}_iso": h(i).is_iso for i in range(n)})
+        checks[f"h{n}_epi"] = h(n).is_epi
+        caveats.append(
+            "H_* checks certify n-connectedness only when the stage is"
+            " simply connected")
+    return ConnectivityReport(n, checks, tuple(caveats))

@@ -460,6 +460,21 @@ class TestInputErrors:
                      "unsupported tower format 'v9'", id="tower-format"),
         pytest.param(["build", "{circle}", "--max-dim", "-1", "--out", "{tmp}/t"], None, None,
                      "cap must be >= 0", id="build-cap"),
+        pytest.param(["build", "{point}", "--map", "{tmp}/missing.smap", "--out", "{tmp}/t"],
+                     None, None, "--map requires --domain", id="build-map-alone"),
+        pytest.param(["build", "{circle}", "--domain", "{point}", "--out", "{tmp}/t"],
+                     None, None, "--domain requires --map", id="build-domain-alone"),
+        pytest.param(["verify", "--suite", "variant", "{point}", "{circle}"], None, None,
+                     "suite 'variant' takes 1 input, got 2", id="suite-extra-input"),
+        pytest.param(["verify", "--suite", "functor", "{point}", "{circle}", "{tmp}/m", "{tmp}/n"],
+                     None, None, "suite 'functor' takes 3 inputs, got 4", id="suite-extra-inputs"),
+        pytest.param(["verify", "--suite", "intersect", "{circle}"], None, None,
+                     "suite 'intersect' needs X.sset family.txt", id="suite-family"),
+        pytest.param(["verify", "--suite", "variant", "{point}", "--then", "{point}", "{tmp}/m"],
+                     None, None, "--then requires --suite functor", id="then-outside-functor"),
+        pytest.param(["verify", "--suite", "variant", "{point}", "--simply-connected"], None, None,
+                     "--simply-connected requires --suite connectivity",
+                     id="simply-connected-outside-connectivity"),
     ])
     def test_exit_2_with_one_line(self, circle_file, point_file, tmp_path, capsys,
                                   argv, name, text, message):

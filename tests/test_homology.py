@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 
@@ -13,10 +14,10 @@ from cwtower import (
     chain_complex,
     connectivity_report,
     cw_tower,
+    enumerate_maps,
     homology,
     identity_map,
     induced_homology_map,
-    path_components,
     smith_normal_form,
     standard_simplex,
 )
@@ -31,6 +32,9 @@ from util import (
     integer_determinant,
     invariant_factors,
     kernel_basis,
+    path_components,
+    pi0_verdicts,
+    random_one_dim_target,
     solve_int,
     vertex_with_loop,
 )
@@ -322,7 +326,7 @@ class TestConnectivity:
     def test_circle_tower_reports(self):
         T = cw_tower(boundary_simplex(2), 2)
         r = connectivity_report(T, 1)
-        assert r.pi0_surjective and r.pi0_bijective and r.h1_epi
+        assert r.checks == {"pi0_surjective": True, "pi0_bijective": True, "h1_epi": True}
 
     def test_flag_refused_when_target_has_h1(self):
         T = cw_tower(boundary_simplex(2), 1)
@@ -333,3 +337,52 @@ class TestConnectivity:
         T = cw_tower(standard_simplex(0), 1)
         with pytest.raises(ValidationError):
             connectivity_report(T, 2)
+
+
+def _pi0_maps():
+    """Up to 20 maps between each pair of small complexes, connected or not."""
+    rng = random.Random(SEED)
+    spaces = [standard_simplex(0), boundary_simplex(1), boundary_simplex(2),
+              standard_simplex(1)] + [random_one_dim_target(rng) for _ in range(8)]
+    return [f for K in spaces for X in spaces for f in enumerate_maps(K, X)[:20]]
+
+
+class TestPi0FromH0:
+    """H_0(f) is onto, or an isomorphism, exactly when f is on path components."""
+
+    def test_h0_map_against_union_find(self):
+        seen = set()
+        for f in _pi0_maps():
+            h0 = induced_homology_map(f, 0)
+            assert (h0.is_epi, h0.is_iso) == pi0_verdicts(f)
+            seen.add(pi0_verdicts(f))
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_report_against_union_find(self):
+        T = cw_tower(standard_simplex(0), 1)
+        for f in _pi0_maps():
+            checks = connectivity_report(dataclasses.replace(T, projections=[f, f]), 1).checks
+            assert (checks["pi0_surjective"], checks["pi0_bijective"]) == pi0_verdicts(f)
+
+
+@pytest.mark.parametrize("B, cap, simply_connected", [
+    (standard_simplex(0), 3, True),
+    (standard_simplex(1), 2, True),
+    (boundary_simplex(2), 2, False),
+])
+def test_each_degree_is_computed_once(monkeypatch, B, cap, simply_connected):
+    module = importlib.import_module("cwtower.homology")
+    degrees = []
+    real = module.induced_homology_map
+
+    def counted(f, i, *complexes):
+        degrees.append(i)
+        return real(f, i, *complexes)
+
+    monkeypatch.setattr(module, "induced_homology_map", counted)
+    T = cw_tower(B, cap)
+    for n in range(cap + 1):
+        degrees.clear()
+        connectivity_report(T, n, simply_connected)
+        top = n if simply_connected and n >= 2 else min(n, 1)
+        assert sorted(degrees) == list(range(top + 1)), f"stage {n}: {degrees}"

@@ -168,8 +168,42 @@ def is_cellular_map(f):
 
 
 def all_true(report):
-    """Every populated facet of a ``ConnectivityReport`` holds."""
-    return all(report.populated().values())
+    """Every facet of a ``ConnectivityReport`` holds."""
+    return all(report.checks.values())
+
+
+def path_components(X):
+    """Vertex -> component id, via union-find over nondegenerate edges."""
+    parent = list(range(X.count(0)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in range(X.count(1)):
+        a = find(X.faces[1][e][0].gen.index)
+        b = find(X.faces[1][e][1].gen.index)
+        if a != b:
+            parent[a] = b
+    roots = {}
+    comp = []
+    for v in range(X.count(0)):
+        r = find(v)
+        if r not in roots:
+            roots[r] = len(roots)
+        comp.append(roots[r])
+    return comp
+
+
+def pi0_verdicts(f):
+    """(onto, bijective) for the map f induces on path components, by union-find."""
+    comp_dom, comp_cod = path_components(f.dom), path_components(f.cod)
+    image = {comp_dom[v]: comp_cod[s.gen.index]
+             for v, s in enumerate(f.assign[0] if f.assign else ())}
+    onto = set(image.values()) == set(comp_cod)
+    return onto, onto and len(set(image.values())) == len(set(comp_dom))
 
 
 # Dense adapters over the sparse-column homology kernels
