@@ -123,13 +123,10 @@ def cmd_build(args):
         raise ParseError("--domain requires --map" if args.domain else "--map requires --domain")
     B = _load_sset(args.target)
     if args.domain:
-        A = _load_sset(args.domain)
-        f = parse_smap(read_text(args.map), A, B)
+        f = parse_smap(read_text(args.map), _load_sset(args.domain), B)
     else:
-        A = SimplicialSet.empty()
         f = empty_map(B)
-    tower = build_tower(A, f, args.max_dim, args.variant,
-                        _budget(args.budget, args.max_dim))
+    tower = build_tower(f, args.max_dim, args.variant, _budget(args.budget, args.max_dim))
     with _writing(args.out):
         save_tower(tower, args.out)
         if args.dot:
@@ -223,7 +220,7 @@ def cmd_verify(args):
         # the cellular tower equals the all-maps tower through stage n
         # exactly when every square of stages 1..n is cellular
         B = _load_sset(args.inputs[0])
-        tower = cw_tower(B, args.max_dim, "all-maps", budget)
+        tower = cw_tower(B, args.max_dim, budget=budget)
         same = True
         for n in range(args.max_dim + 1):
             same = same and (n == 0 or is_cellular(tower.squares[n]))
@@ -231,7 +228,7 @@ def cmd_verify(args):
 
     elif args.suite == "connectivity":
         B = _load_sset(args.inputs[0])
-        tower = cw_tower(B, args.max_dim, args.variant, budget)
+        tower = cw_tower(B, args.max_dim, budget=budget)
         for n in range(args.max_dim + 1):
             rep = connectivity_report(tower, n, args.simply_connected)
             for check, ok in rep.checks.items():
@@ -239,8 +236,8 @@ def cmd_verify(args):
 
     elif args.suite == "subcomplex":
         B, Bp, g = _load_pair_with_map(args)
-        T = cw_tower(B, args.max_dim, args.variant, budget)
-        Tp = cw_tower(Bp, args.max_dim, args.variant, budget)
+        T = cw_tower(B, args.max_dim, budget=budget)
+        Tp = cw_tower(Bp, args.max_dim, budget=budget)
         tm = induced_tower_map(empty_map(SimplicialSet.empty()), g, T, Tp)
         ok, witness = check_subcomplex(tm)
         detail = "" if ok else (
@@ -249,8 +246,8 @@ def cmd_verify(args):
 
     elif args.suite == "functor":
         B, Bp, g = _load_pair_with_map(args)
-        T = cw_tower(B, args.max_dim, args.variant, budget)
-        Tp = cw_tower(Bp, args.max_dim, args.variant, budget)
+        T = cw_tower(B, args.max_dim, budget=budget)
+        Tp = cw_tower(Bp, args.max_dim, budget=budget)
         e = empty_map(SimplicialSet.empty())
         ident = induced_tower_map(e, identity_map(B), T, T)
         ok = ident.stage_maps == identity_tower_map(T).stage_maps
@@ -260,7 +257,7 @@ def cmd_verify(args):
         if args.then:
             Bpp = _load_sset(args.then[0])
             h = parse_smap(read_text(args.then[1]), Bp, Bpp)
-            Tpp = cw_tower(Bpp, args.max_dim, args.variant, budget)
+            Tpp = cw_tower(Bpp, args.max_dim, budget=budget)
             tm2 = induced_tower_map(e, h, Tp, Tpp)
             direct = induced_tower_map(e, compose(h, g), T, Tpp)
             ok = compose_tower_maps(tm2, tm).stage_maps == direct.stage_maps
@@ -269,8 +266,7 @@ def cmd_verify(args):
     elif args.suite == "intersect":
         X = _load_sset(args.inputs[0])
         family = _parse_family(read_text(args.inputs[1]))
-        ok, reports = check_intersection(X, family, args.max_dim, args.variant,
-                                         budget)
+        ok, reports = check_intersection(X, family, args.max_dim, budget=budget)
         for rep in reports:
             report(f"intersection stage={rep['stage']}", rep["equal"],
                    f"lhs={rep['intersection_size']}"
@@ -353,7 +349,6 @@ def make_parser():
     v.add_argument("--then", nargs=2, metavar=("SSET", "SMAP"),
                    help="second square for the composition law (functor suite)")
     v.add_argument("--max-dim", "-N", type=int, default=2)
-    v.add_argument("--variant", choices=VARIANTS, default="all-maps")
     v.add_argument("--budget", type=int, default=None)
     v.add_argument("--simply-connected", action="store_true")
     v.set_defaults(func=cmd_verify)

@@ -5,9 +5,10 @@ the target after A's generators, and ``attach_cells`` appends one new
 nondegenerate n-generator per attaching square after the existing
 generators, in row order, so the construction is deterministic, stage
 subsets are literal index ranges, and every stage inclusion is
-``core.inclusion``.  The squares are one ``SquareRow``: the facets and
-disks of each square, ranks in the ``SquareTable`` of (n, p), and the
-commutativity check, the new faces and the labels all read those ranks.
+``core.inclusion``, read off the two stages.  The squares are one
+``SquareRow``: the facets and disks of each square, ranks in the
+``SquareTable`` of (n, p), and the commutativity check, the new faces
+and the labels all read those ranks.
 The stage it returns is checked from its new cells, on ranks, only when
 ``chain_complex`` asks for its validity.
 """
@@ -24,7 +25,6 @@ from .core import (
     SimplicialSet,
     ValidationError,
     appended,
-    inclusion,
     with_generators,
 )
 from .homsearch import SquareRow
@@ -33,9 +33,8 @@ from .homsearch import SquareRow
 def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
     """Attach one n-cell per square of the row to X, over p: X -> B.
 
-    Returns (X2, incl, p2).  A tower only appends: X2 is X with the new
-    n-cells after its generators, so incl is ``inclusion(X, X2)``, and p2
-    is p with the new cells' disks appended.
+    Returns (X2, p2).  A tower only appends: X2 is X with the new n-cells
+    after its generators, and p2 is p with the new cells' disks appended.
     Square k is its facets (x_0 .. x_n) and its disk b, ranks in the
     row's table, which is checked once to be over (n, p).  Each square is
     checked to commute on ranks, the one condition its ranks do not give
@@ -51,7 +50,7 @@ def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
     ``validate``.
     """
     if not squares:
-        return X, inclusion(X, X), p
+        return X, p
     table = squares.table
     n = table.n
     if p.dom != X:
@@ -76,7 +75,7 @@ def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
     X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], squares.facets))
     disks = table.cand_b[n]
     p2 = SimplicialMap(X2, p.cod, appended(p.assign, n, map(disks.__getitem__, squares.tops)))
-    return X2, inclusion(X, X2), p2
+    return X2, p2
 
 
 @cache
@@ -104,18 +103,15 @@ def _attached_report(X, faces, cells, X2):
     return X2.validation_report
 
 
-def stage_zero(A: SimplicialSet, f: SimplicialMap):
-    """A with one new vertex appended per vertex of the target.
+def stage_zero(f: SimplicialMap):
+    """A = f.dom with one new vertex appended per vertex of the target.
 
     Maps of a point into B are exactly the vertices of B, so stage 0
     adjoins one labeled vertex per vertex of B.  A tower only appends, so
-    these come after A's generators and A's inclusion is
-    ``inclusion(A, A0)``.  Returns (A0, incl, p0).
+    these come after A's generators.  Returns (A0, p0).
     """
-    if f.dom != A:
-        raise ValidationError("stage_zero: map does not start at A")
     nb = f.cod.count(0)
-    A0 = with_generators(A, 0, [()] * nb, [f"point->{b}" for b in range(nb)])
+    A0 = with_generators(f.dom, 0, [()] * nb, "point->{}".format)
     p0 = SimplicialMap(A0, f.cod, appended(
         f.assign, 0, [Simplex((), SimplexRef(0, b)) for b in range(nb)]))
-    return A0, inclusion(A, A0), p0
+    return A0, p0

@@ -353,13 +353,12 @@ def appended(rows, d, new):
     return rows[:d] + (rows[d] + new,) + rows[d + 1:]
 
 
-def with_generators(X: SimplicialSet, d, faces, labels) -> SimplicialSet:
-    """X with new d-generators after its own, with these face tuples and
-    labels; the counts are read off the face rows.  ``labels`` may be a
-    function of k, the label of new generator k, kept as a ``LabelRow``."""
+def with_generators(X: SimplicialSet, d, faces, label) -> SimplicialSet:
+    """X with new d-generators after its own, with these face tuples; the
+    counts are read off the face rows.  ``label(k)`` is the label of new
+    generator k, made when read (a ``LabelRow``)."""
     rows = X.labels + ((),) * (d + 1 - len(X.labels))
-    row = (LabelRow(rows[d], labels, len(faces)) if callable(labels)
-           else rows[d] + tuple(labels))
+    row = LabelRow(rows[d], label, len(faces))
     faces = appended(X.faces, d, faces)
     return SimplicialSet(tuple(map(len, faces)), faces, rows[:d] + (row,) + rows[d + 1:])
 

@@ -10,7 +10,7 @@ identity, so subcomplex and intersection checks compare generator indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain
 
 from .core import (
@@ -24,6 +24,7 @@ from .core import (
     empty_map,
     face,
     identity_map,
+    inclusion,
     map_errors,
     simplex_errors,
     subcomplex,
@@ -48,14 +49,13 @@ class Tower:
     ``stages[n]`` is A_n, ``projections[n]`` is p_n: A_n -> B, and
     ``squares[n]`` is the ``SquareRow`` of stage n, its attaching squares
     in order (``squares[0]`` is empty).  A tower only appends: A_n is
-    A_{n-1} with new generators after the old ones (A_{-1} = A), so
-    ``inclusions[n]`` is ``inclusion(stages[n-1], stages[n])``, and p_n is
-    p_{n-1} with the new cells' images appended.
+    A_{n-1} with new generators after the old ones (A_{-1} = A), so the
+    stage inclusions are read off the stages, and p_n is p_{n-1} with the
+    new cells' images appended.
 
-    Equality leaves out the squares and the inclusions, which the stages
-    and projections fix (cell k of stage n has its square's facets as
-    faces and its disk as projection): comparing them would compare each
-    stage again, once per pair of squares and twice per inclusion.
+    Equality leaves out the squares, which the stages and projections fix
+    (cell k of stage n has its square's facets as faces and its disk as
+    projection): comparing them would compare each stage again.
     """
 
     A: SimplicialSet
@@ -64,13 +64,18 @@ class Tower:
     cap: int
     variant: str
     stages: list
-    inclusions: list = field(compare=False)
     projections: list
     squares: list = field(compare=False)
 
     @property
     def top(self) -> SimplicialSet:
         return self.stages[self.cap]
+
+    @cached_property
+    def inclusions(self):
+        """``inclusions[n]`` is ``inclusion(stages[n-1], stages[n])``, with
+        stages[-1] = A, made when first read."""
+        return [inclusion(X, Y) for X, Y in zip([self.A, *self.stages], self.stages)]
 
 
 def is_cellular(squares) -> bool:
@@ -85,60 +90,54 @@ def is_cellular(squares) -> bool:
     return squares.table.cellular
 
 
-def build_tower(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
-                budget=DEFAULT_BUDGET) -> Tower:
-    """Run the staged construction up to dimension ``cap``.
+def build_tower(f: SimplicialMap, cap, variant="all-maps", budget=DEFAULT_BUDGET) -> Tower:
+    """Run the staged construction of f: A -> B up to dimension ``cap``.
 
     ``budget`` bounds the join steps of the square search over all
     stages together; exceeding it raises ``BudgetExceeded``.  Every
     square is cellular, so ``cellular`` builds the same tower and asserts it.
     """
-    for tower in tower_stages(A, f, cap, variant, budget):
+    for tower in tower_stages(f, cap, variant, budget):
         pass
     return tower
 
 
-def tower_stages(A: SimplicialSet, f: SimplicialMap, cap, variant="all-maps",
-                 budget=DEFAULT_BUDGET):
+def tower_stages(f: SimplicialMap, cap, variant="all-maps", budget=DEFAULT_BUDGET):
     """``build_tower`` one stage at a time: yields the tower truncated at n
     for n = 0..cap, building stage n only when it is asked for."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if cap < 0:
         raise ValidationError("cap must be >= 0")
-    if f.dom != A:
-        raise ValidationError("input map does not start at A")
     errs = map_errors(f)
     if errs:
         raise ValidationError("invalid input map: " + "; ".join(errs[:4]))
 
-    A0, i0, p0 = stage_zero(A, f)
-    stages, inclusions, projections, squares = [A0], [i0], [p0], [[]]
+    A0, p0 = stage_zero(f)
+    stages, projections, squares = [A0], [p0], [[]]
     steps, table = Budget(budget), None
     for n in range(cap + 1):
         if n >= 1:
             table = SquareTable(n, projections[-1], table)
             try:
-                sqs = enumerate_squares(n, table, steps)
+                sqs = enumerate_squares(table, steps)
             except BudgetExceeded as e:
-                cells = stages[-1].total_generators - A.total_generators
+                cells = stages[-1].total_generators - f.dom.total_generators
                 raise BudgetExceeded(e.budget, e.used, e.unit,
                                      f"stage {n}, {cells} cells built") from e
             if variant == "cellular" and not is_cellular(sqs):
                 raise AssertionError(f"stage {n}: an attaching map is not cellular")
-            Xn, incl, pn = attach_cells(stages[-1], sqs, projections[-1])
+            Xn, pn = attach_cells(stages[-1], sqs, projections[-1])
             stages.append(Xn)
-            inclusions.append(incl)
             projections.append(pn)
             squares.append(sqs)
-        yield Tower(A=A, B=f.cod, f=f, cap=n, variant=variant, stages=list(stages),
-                    inclusions=list(inclusions), projections=list(projections),
-                    squares=list(squares))
+        yield Tower(A=f.dom, B=f.cod, f=f, cap=n, variant=variant, stages=list(stages),
+                    projections=list(projections), squares=list(squares))
 
 
 def cw_tower(B: SimplicialSet, cap, variant="all-maps", budget=DEFAULT_BUDGET) -> Tower:
     """The tower of the unique map from the empty simplicial set to B."""
-    return build_tower(SimplicialSet.empty(), empty_map(B), cap, variant, budget)
+    return build_tower(empty_map(B), cap, variant, budget)
 
 
 # ---------------------------------------------------------------------------

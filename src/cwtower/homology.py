@@ -43,14 +43,6 @@ def identity(n):
 # A sparse matrix is a list of columns, each a dict {row: nonzero entry};
 # the row count travels separately.
 
-def _dense(cols, nrows):
-    out = zeros(nrows, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            out[i, j] = v
-    return out
-
-
 def _add(dst, k, src, on_row=None, j=None):
     """dst += k * src for sparse columns, k != 0.
 
@@ -440,10 +432,9 @@ def _chain_map_columns(f: SimplicialMap, i):
 
 @dataclass
 class HomologyMap:
-    """Induced map on H_degree in fixed cycle-lattice bases."""
+    """Whether the map induced on H_degree is onto, and an isomorphism."""
 
     degree: int
-    matrix: object
     is_epi: bool
     is_iso: bool
 
@@ -469,7 +460,7 @@ def induced_homology_map(f: SimplicialMap, i, ccX=None, ccY=None) -> HomologyMap
     L = [{a: v for a, v in x.items() if a < kX}
          for x in _kernel(T + [{a: -v for a, v in w.items()} for w in WY], kY)]
     mono = _solve(WX, kX, L) is not None
-    return HomologyMap(degree=i, matrix=_dense(T, kY), is_epi=epi, is_iso=epi and mono)
+    return HomologyMap(degree=i, is_epi=epi, is_iso=epi and mono)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,8 @@ class SquareTable:
     """
 
     def __init__(self, n, p: SimplicialMap, below: SquareTable | None = None):
+        if n < 1:
+            raise ValidationError("a square table needs n >= 1")
         self.n, self.p = n, p
         # ``below``, the table of stage n - 1, holds A's candidates below
         # n - 1 and B's below n: stage n - 1 appended only (n - 1)-generators
@@ -359,8 +361,8 @@ def square_commutes(sq: AttachmentSquare, p: SimplicialMap) -> bool:
     return compose(p, sq.attach) == compose(sq.disk, incl)
 
 
-def enumerate_squares(n, p_prev: SimplicialMap, budget: Budget | None = None):
-    """All attaching squares of dimension n over the stage projection p_prev.
+def enumerate_squares(table: SquareTable, budget: Budget | None = None):
+    """All attaching squares of the table's dimension n over its projection p.
 
     A disk Delta^n -> B is an n-simplex b of B, and an attaching map from
     the boundary of Delta^n to A is a tuple (x_0 .. x_n) of
@@ -373,15 +375,12 @@ def enumerate_squares(n, p_prev: SimplicialMap, budget: Budget | None = None):
     Simplices are handled as ranks in ``simplex_candidates`` order, so a
     rank tuple sorts like the simplices it stands for: a tuple's sort key
     is its attaching map, gathered as ranks from its facets' faces.  The
-    squares are returned as one ``SquareRow`` over one ``SquareTable``.
-    Every join step is charged to ``budget`` (a fresh ``Budget()`` if none
-    is given).  ``p_prev`` may be the ``SquareTable`` of (n, p_prev).
+    squares are returned as one ``SquareRow`` over ``table``.  Every join
+    step is charged to ``budget`` (a fresh ``Budget()`` if none is given).
     """
-    if n < 1:
-        raise ValidationError("enumerate_squares needs n >= 1")
     if budget is None:
         budget = Budget()
-    table = p_prev if isinstance(p_prev, SquareTable) else SquareTable(n, p_prev)
+    n = table.n
     disks = {}
     for b, fs in enumerate(table.faces_b[n]):
         disks.setdefault(fs, []).append(b)

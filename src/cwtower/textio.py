@@ -544,7 +544,7 @@ def load_tower(path, upto=None, budget=DEFAULT_BUDGET, *, _meta=None):
     f = parse_smap(texts["input_map.smap"], A, B)
     lines = _TowerLines(f)
     check(lines.input_files(variant, cap))
-    for n, tower in enumerate(tower_stages(A, f, k, variant, budget)):
+    for n, tower in enumerate(tower_stages(f, k, variant, budget)):
         check(lines.stage_files(tower, n))
     # the stored table goes on past k when k < cap
     check([("growth.csv", (growth_csv(tower),))], prefix=k < cap)

@@ -9,6 +9,7 @@ import os
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 from cwtower import (
     SimplicialSet,
@@ -34,7 +35,8 @@ from cwtower import (
     subcomplex,
 )
 from cwtower.cli import main
-from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion
+from cwtower.core import Simplex, SimplexRef, SimplicialMap, boundary_inclusion, inclusion
+from cwtower.homsearch import SquareTable
 
 from util import (
     SEED,
@@ -195,8 +197,9 @@ def test_criterion_7_oracle_equivalence_and_pushouts():
     # pushout universality on small instances
     X = standard_simplex(0)
     p = enumerate_maps(X, standard_simplex(0))[0]
-    squares = enumerate_squares(1, p)
-    X2, incl, _ = attach_cells(X, squares, p)
+    squares = enumerate_squares(SquareTable(1, p))
+    X2, _ = attach_cells(X, squares, p)
+    incl = inclusion(X, X2)
     interval = standard_simplex(1)
     bincl = boundary_inclusion(1)
     for Z in (standard_simplex(0), standard_simplex(1), boundary_simplex(2)):
@@ -230,7 +233,7 @@ def test_criterion_8_build_determinism(tmp_path, capsys):
             for dirpath, _, files in os.walk(out):
                 for name in sorted(files):
                     full = os.path.join(dirpath, name)
-                    tree[os.path.relpath(full, out)] = open(full, "rb").read()
+                    tree[os.path.relpath(full, out)] = Path(full).read_bytes()
             trees.append(tree)
         ok = ok and trees[0] == trees[1]
     capsys.readouterr()  # drop the growth tables printed by the builds

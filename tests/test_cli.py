@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,7 @@ from cwtower import (
 from cwtower.cli import main
 from cwtower.cli import make_parser
 from cwtower.core import boundary_inclusion
-from cwtower.homsearch import Budget
+from cwtower.homsearch import Budget, SquareTable
 
 
 @pytest.fixture
@@ -51,7 +52,7 @@ def tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
 
 
@@ -179,7 +180,7 @@ class TestBuild:
         steps = []
         for n in (1, 2, 3):
             budget = Budget()
-            enumerate_squares(n, T.projections[n - 1], budget)
+            enumerate_squares(SquareTable(n, T.projections[n - 1]), budget)
             steps.append(budget.used)
         # every stage fits the budget on its own, the whole build does not
         limit = max(steps)
@@ -251,6 +252,13 @@ class TestVerify:
                      str(fam)]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS intersection") == 3
+
+    def test_variant_flag_refused(self, circle_file, capsys):
+        # every suite builds the default towers; --variant is build's alone
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "variant", circle_file, "--variant", "cellular"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --variant" in capsys.readouterr().err
 
     def test_missing_family_exit_2(self, circle_file, capsys):
         assert main(["verify", "--suite", "intersect", circle_file]) == 2

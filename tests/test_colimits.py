@@ -43,14 +43,14 @@ class TestAttachCells:
     def test_empty_square_list(self):
         X = standard_simplex(0)
         p = point_projection(X)
-        X2, incl, p2 = attach_cells(X, [], p)
-        assert X2 == X and incl == identity_map(X) and p2 == p
+        X2, p2 = attach_cells(X, [], p)
+        assert X2 == X and p2 == p
 
     def test_attach_loop_to_point(self):
         X = standard_simplex(0)
         p = point_projection(X)
-        squares = enumerate_squares(1, p)
-        X2, incl, p2 = attach_cells(X, squares, p)
+        squares = enumerate_squares(SquareTable(1, p))
+        X2, p2 = attach_cells(X, squares, p)
         assert X2.counts == (1, 1)
         assert X2.faces[1][0] == (Simplex((), SimplexRef(0, 0)),) * 2
         assert validate(X2) == []
@@ -59,8 +59,8 @@ class TestAttachCells:
         B = boundary_simplex(2)
         A0 = SimplicialSet.build([3], [[(), (), ()]])
         p = SimplicialMap(A0, B, (tuple(Simplex((), SimplexRef(0, i)) for i in range(3)),))
-        squares = enumerate_squares(1, p)
-        X2, incl, p2 = attach_cells(A0, squares, p)
+        squares = enumerate_squares(SquareTable(1, p))
+        X2, p2 = attach_cells(A0, squares, p)
         assert X2.counts == (3, 6)
         assert validate(X2) == []
 
@@ -69,7 +69,8 @@ class TestAttachCells:
         T = cw_tower(B, 2)
         for n in (1, 2):
             X, p = T.stages[n - 1], T.projections[n - 1]
-            X2, incl, p2 = attach_cells(X, T.squares[n], p)
+            X2, p2 = attach_cells(X, T.squares[n], p)
+            incl = inclusion(X, X2)
             # only dimension n grows, by exactly the square count
             for d in range(max(len(X.counts), len(X2.counts))):
                 expected = X.count(d) + (len(T.squares[n]) if d == n else 0)
@@ -80,7 +81,7 @@ class TestAttachCells:
     def test_commutativity_violation_rejected(self):
         X = standard_simplex(0)
         p = point_projection(X)
-        squares = enumerate_squares(1, p)
+        squares = enumerate_squares(SquareTable(1, p))
         other = SimplicialSet.build([2], [[(), ()]])
         q = SimplicialMap(X, other, ((Simplex((), SimplexRef(0, 1)),),))
         with pytest.raises(ValidationError, match="square 0 was not found over the projection"):
@@ -92,7 +93,7 @@ class TestAttachCells:
         T = cw_tower(boundary_simplex(2), 1)
         p = T.projections[0]
         good = T.squares[1]
-        again = enumerate_squares(1, p).table
+        again = enumerate_squares(SquareTable(1, p)).table
         bad = AttachmentSquare(again, good[0].facets, good[-1].top)
         assert again is not good.table and not square_commutes(bad, p)
         row = SquareRow(again, [good[0].facets, bad.facets], [good[0].top, bad.top])
@@ -110,7 +111,7 @@ class TestAttachCells:
             X, p = T.stages[n - 1], T.projections[n - 1]
             assert_stage_glues_oracle(T, n, oracle_enumerate_squares(n, p))
             got = attach_cells(X, T.squares[n], p)
-            assert got == (T.stages[n], T.inclusions[n], T.projections[n]), f"stage {n}"
+            assert got == (T.stages[n], T.projections[n]), f"stage {n}"
 
     def test_ranked_square_with_another_disk_rejected(self):
         T = cw_tower(boundary_simplex(2), 1)
@@ -176,8 +177,8 @@ class TestStageReport:
         assert str(ref.value) == message
 
     def test_unclean_previous_stage_falls_back_to_the_full_walk(self):
-        X3, _, p3 = broken_point_stage()
-        X4, _, _ = attach_cells(X3, enumerate_squares(4, p3)[:5], p3)
+        X3, p3 = broken_point_stage()
+        X4, _ = attach_cells(X3, enumerate_squares(SquareTable(4, p3))[:5], p3)
         assert list(X4.checked_report) == full_walk(X4) == validate(X4) != []
 
     def test_no_reference_cycle(self):
@@ -199,27 +200,27 @@ class TestStageReport:
 
 class TestStageZero:
     def test_empty_over_point(self):
-        A0, incl, p0 = stage_zero(SimplicialSet.empty(), empty_map(standard_simplex(0)))
+        A0, p0 = stage_zero(empty_map(standard_simplex(0)))
         assert A0.counts == (1,)
 
     def test_empty_over_circle(self):
-        A0, incl, p0 = stage_zero(SimplicialSet.empty(), empty_map(boundary_simplex(2)))
+        A0, p0 = stage_zero(empty_map(boundary_simplex(2)))
         assert A0.counts == (3,)
         for b in range(3):
             assert p0.assign[0][b] == Simplex((), SimplexRef(0, b))
 
     def test_identity_of_point(self):
         pt = standard_simplex(0)
-        A0, incl, p0 = stage_zero(pt, identity_map(pt))
+        A0, p0 = stage_zero(identity_map(pt))
         assert A0.counts == (2,)
         assert p0.assign[0][0] == p0.assign[0][1] == Simplex((), SimplexRef(0, 0))
-        assert is_simplicial_subset(incl)
+        assert is_simplicial_subset(inclusion(pt, A0))
 
     def test_domain_generators_come_first(self):
         # A's generators above dimension 0 keep their indices in A0
         A = standard_simplex(2)
-        A0, incl, _ = stage_zero(A, identity_map(A))
-        assert incl == inclusion(A, A0) and is_simplicial_subset(incl)
+        A0, _ = stage_zero(identity_map(A))
+        assert is_simplicial_subset(inclusion(A, A0))
         assert validate(A0) == []
         assert hashlib.sha256(format_sset(A0).encode()).hexdigest() == (
             "b4f952f2fca919765410cfdf67bc4d4bd7f9bd0b6679af79735d24f866f92501")
@@ -246,7 +247,7 @@ class TestLabelView:
 
     def test_view_follows_the_domain_labels(self):
         A = standard_simplex(2)
-        T = build_tower(A, identity_map(A), 2)
+        T = build_tower(identity_map(A), 2)
         row, sq = T.stages[1].labels[1], T.squares[1]
         assert row[:3] == A.labels[1] == ("01", "02", "12")
         assert len(row) == 3 + len(sq) and row[3] == oracle_square_line(1, sq[0].attach,
@@ -271,7 +272,7 @@ class TestUnionThrough:
     def test_base_and_stages(self):
         T = cw_tower(standard_simplex(0), 2)
         assert T.A == SimplicialSet.empty()
-        assert T.stages[0] == stage_zero(T.A, T.f)[0]
+        assert T.stages[0] == stage_zero(T.f)[0]
         assert T.stages[2].counts == (1, 1, 8)
 
 
@@ -282,8 +283,9 @@ class TestPushoutUniversality:
         # X' -> Z restricts correctly.
         X = standard_simplex(0)
         p = point_projection(X)
-        squares = enumerate_squares(1, p)
-        X2, incl, _ = attach_cells(X, squares, p)
+        squares = enumerate_squares(SquareTable(1, p))
+        X2, _ = attach_cells(X, squares, p)
+        incl = inclusion(X, X2)
         interval = standard_simplex(1)
         bincl = boundary_inclusion(1)
         for Z in (standard_simplex(0), standard_simplex(1), vertex_with_loop()):

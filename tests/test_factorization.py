@@ -67,7 +67,7 @@ class TestBuildTower:
 
     def test_point_identity_tower(self):
         pt = standard_simplex(0)
-        T = build_tower(pt, identity_map(pt), 1)
+        T = build_tower(identity_map(pt), 1)
         assert T.stages[0].counts == (2,)
         assert T.stages[1].counts == (2, 4)  # 2^2 boundary maps, 1 disk map
 
@@ -217,8 +217,8 @@ class TestFunctorLaws:
         pt = standard_simplex(0)
         B = standard_simplex(1)
         g = subcomplex(B, {R(0, 0)})[1]
-        T = build_tower(pt, identity_map(pt), 1)
-        Tp = build_tower(pt, g, 1)
+        T = build_tower(identity_map(pt), 1)
+        Tp = build_tower(g, 1)
         tm = induced_tower_map(identity_map(pt), g, T, Tp)
         assert compose(Tp.projections[1], tm.stage_maps[1]) == \
             compose(g, T.projections[1])
@@ -231,8 +231,8 @@ class TestFunctorLaws:
         # A = Delta^1 has a 1-generator, so stage 1 keeps cells below the new ones
         D1 = standard_simplex(1)
         collapse = collapse_to_point(D1)
-        cases.append((identity_map(D1), collapse, build_tower(D1, identity_map(D1), 2),
-                      build_tower(D1, collapse, 2)))
+        cases.append((identity_map(D1), collapse, build_tower(identity_map(D1), 2),
+                      build_tower(collapse, 2)))
         for f, g, T, Tp in cases:
             tm = induced_tower_map(f, g, T, Tp)
             assert tm.stage_maps == oracle_induced_stage_maps(f, g, T, Tp)
@@ -453,7 +453,7 @@ class TestTowerMapCheck:
         f = SimplicialMap(I, I, ((v[0], v[1]), (Simplex((0,), R(0, 0)),)))
         to_pt = SimplicialMap(I, pt, ((v[0], v[0]), (Simplex((0,), R(0, 0)),)))
         assert map_errors(f) and compose(to_pt, f) == to_pt
-        T = build_tower(I, to_pt, 1)
+        T = build_tower(to_pt, 1)
         with pytest.raises(ValidationError, match="invalid square map"):
             induced_tower_map(f, identity_map(pt), T, T)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cwtower import (
     SimplicialSet,
+    ValidationError,
     boundary_simplex,
     build_tower,
     compose,
@@ -127,34 +128,34 @@ class TestEnumerateSquares:
     def test_point_over_point(self):
         p = enumerate_maps(standard_simplex(0), standard_simplex(0))[0]
         # A_0 = one vertex over B = point
-        squares = enumerate_squares(1, p)
+        squares = enumerate_squares(SquareTable(1, p))
         assert len(squares) == 1
 
     def test_three_vertices_over_circle(self):
         B = boundary_simplex(2)
         A0 = SimplicialSet.build([3], [[(), (), ()]])
         p = SimplicialMap(A0, B, (tuple(Simplex((), SimplexRef(0, i)) for i in range(3)),))
-        squares = enumerate_squares(1, p)
+        squares = enumerate_squares(SquareTable(1, p))
         assert len(squares) == 6
 
     def test_loop_stage_over_point(self):
         X = vertex_with_loop()
         B = standard_simplex(0)
         p = enumerate_maps(X, B)[0]
-        squares = enumerate_squares(2, p)
+        squares = enumerate_squares(SquareTable(2, p))
         assert len(squares) == 8
 
     def test_all_squares_commute(self):
         X = vertex_with_loop()
         p = enumerate_maps(X, standard_simplex(0))[0]
-        for sq in enumerate_squares(2, p):
+        for sq in enumerate_squares(SquareTable(2, p)):
             assert square_commutes(sq, p)
 
     def test_order_is_deterministic(self):
         X = vertex_with_loop()
         p = enumerate_maps(X, standard_simplex(0))[0]
-        a = [format_square(sq) for sq in enumerate_squares(2, p)]
-        b = [format_square(sq) for sq in enumerate_squares(2, p)]
+        a = [format_square(sq) for sq in enumerate_squares(SquareTable(2, p))]
+        b = [format_square(sq) for sq in enumerate_squares(SquareTable(2, p))]
         assert a == b
 
     @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
@@ -179,32 +180,37 @@ class TestEnumerateSquares:
         # vertex bounds two disks: the degenerate edge and the loop
         X = standard_simplex(0)
         p = SimplicialMap(X, vertex_with_loop(), ((Simplex((), SimplexRef(0, 0)),),))
-        squares = enumerate_squares(1, p)
+        squares = enumerate_squares(SquareTable(1, p))
         assert len(squares) == 2 and squares[0].facets == squares[1].facets
         assert squares[0] != squares[1]
-        for sq, again in zip(squares, enumerate_squares(1, p)):
+        for sq, again in zip(squares, enumerate_squares(SquareTable(1, p))):
             # two searches, two tables: compared by their facet and disk simplices
             assert sq.table is not again.table
             assert sq == again and hash(sq) == hash(again)
             assert (sq.attach, sq.disk) == (again.attach, again.disk)
             assert square_commutes(sq, p)
         # the same simplices over another target are another square
-        (pt_sq,) = enumerate_squares(1, enumerate_maps(X, standard_simplex(0))[0])
+        (pt_sq,) = enumerate_squares(SquareTable(1, enumerate_maps(X, standard_simplex(0))[0]))
         twin = next(sq for sq in squares if sq.disk.assign == pt_sq.disk.assign)
         assert twin.attach == pt_sq.attach and twin.disk != pt_sq.disk
         assert twin != pt_sq
+
+    def test_table_needs_positive_dimension(self):
+        p = enumerate_maps(vertex_with_loop(), standard_simplex(0))[0]
+        with pytest.raises(ValidationError, match="needs n >= 1"):
+            SquareTable(0, p)
 
     def test_join_steps_charged_to_shared_budget(self):
         X = vertex_with_loop()
         p = enumerate_maps(X, standard_simplex(0))[0]
         budget = Budget(100)
-        enumerate_squares(2, p, budget)
+        enumerate_squares(SquareTable(2, p), budget)
         # 2 choices of x_0, 2 of x_1 for each, 2 of x_2 for each pair
         assert budget.used == 2 + 4 + 8
-        enumerate_squares(2, p, budget)
+        enumerate_squares(SquareTable(2, p), budget)
         assert budget.used == 28
         with pytest.raises(BudgetExceeded) as exc:
-            enumerate_squares(2, p, Budget(13))
+            enumerate_squares(SquareTable(2, p), Budget(13))
         assert exc.value.budget == 13 and exc.value.used > 13
 
     def test_count_monotone_under_inclusion(self):
@@ -320,7 +326,7 @@ class TestGrowingTable:
         # A = Delta^2 has a 2-generator before stage 2 appends any
         A = standard_simplex(2)
         for f in (identity_map(A), enumerate_maps(A, standard_simplex(1))[3]):
-            assert_grown_tables_fresh(build_tower(A, f, 3))
+            assert_grown_tables_fresh(build_tower(f, 3))
 
     def test_stage_table_keeps_its_own_rows(self):
         # growing stage n + 1's table leaves stage n's table as it was

@@ -166,7 +166,7 @@ class TestLineBreakLabels:
 
     def test_save_writes_nothing(self, tmp_path):
         A, pt = self.point("a\nb"), standard_simplex(0)
-        T = build_tower(A, enumerate_maps(A, pt)[0], 1)
+        T = build_tower(enumerate_maps(A, pt)[0], 1)
         with pytest.raises(ValidationError,
                            match=r"^generator 0:0: label 'a\\nb' holds a line break$"):
             save_tower(T, tmp_path / "t")
@@ -422,7 +422,7 @@ class TestReplay:
         for k in range(3):
             Tk = load_tower(path, upto=k)
             assert Tk.cap == k
-            assert Tk == build_tower(T.A, T.f, k)
+            assert Tk == build_tower(T.f, k)
         for k in (-1, 3):
             with pytest.raises(ParseError, match=f"stage {k} is out of range 0..2"):
                 load_tower(path, upto=k)
@@ -442,7 +442,7 @@ class TestReplay:
         # generic formatters of the stages and maps are the reference
         A = standard_simplex(2)
         for T in (cw_tower(standard_simplex(1), 3, variant),
-                  build_tower(A, enumerate_maps(A, boundary_simplex(2))[-1], 2, variant)):
+                  build_tower(enumerate_maps(A, boundary_simplex(2))[-1], 2, variant)):
             files = {name: "".join(chunks) for name, chunks in tower_files(T)}
             assert files["input.sset"] == format_sset(T.A)
             for n in range(T.cap + 1):
@@ -468,7 +468,7 @@ class TestReplay:
         for name in ("stage_2.sset", "include_2.smap", "project_2.smap",
                      "squares_2.manifest"):
             (path / name).unlink()
-        assert load_tower(path, upto=1) == build_tower(T.A, T.f, 1)
+        assert load_tower(path, upto=1) == build_tower(T.f, 1)
         with pytest.raises(ParseError, match="tower file stage_2.sset is missing"):
             load_tower(path)
 

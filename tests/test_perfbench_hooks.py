@@ -46,3 +46,32 @@ def test_structural_check_runs(perfbench, tmp_path):
     _, checks = perfbench
     save_tower(cw_tower(boundary_simplex(2), 2), tmp_path / "t")
     assert checks.structural_problems(str(tmp_path / "t"), [3, 6, 36]) == []
+
+
+def test_argument_hooks_count_exactly(perfbench, tmp_path):
+    # the counters read positional arguments: attach_cells' row (args[1]),
+    # save_tower's directory (args[1]) and the parsed text (args[0])
+    from cwtower import format_sset
+    from cwtower.cli import main
+
+    tracing, _ = perfbench
+    circle, out = tmp_path / "circle.sset", tmp_path / "t"
+    circle.write_text(format_sset(boundary_simplex(2)))
+    counts = []
+    for argv in (["build", str(circle), "--out", str(out), "--max-dim", "2"],
+                 ["homology", str(out), "--stage", "2"]):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_op(0)
+            assert main(argv) == 0
+            tracer.end_op()
+        finally:
+            tracer.uninstall()
+        counts.append(tracer.counts)
+    size = sum(p.stat().st_size for p in out.iterdir())
+    assert size == 14_991
+    for c, read, written in zip(counts, (214, 237), (size, 0)):
+        assert c["colimits.cells_attached"] == c["homsearch.squares_out"] == 42
+        assert c["textio.bytes_read"] == read
+        assert c["textio.bytes_written"] == written

@@ -17,7 +17,15 @@ from cwtower import (
     standard_simplex,
 )
 from cwtower.core import subset_witness
-from cwtower.homology import _chain_map_columns, _dense, _factors, _kernel, _solve
+from cwtower.homology import (
+    _apply,
+    _chain_map_columns,
+    _factors,
+    _kernel,
+    _presentation,
+    _solve,
+    chain_complex,
+)
 from cwtower.homsearch import simplex_candidates
 from cwtower.textio import format_simplex
 
@@ -208,6 +216,15 @@ def pi0_verdicts(f):
 
 # Dense adapters over the sparse-column homology kernels
 
+def _dense(cols, nrows):
+    """A dense object-dtype integer matrix with these sparse columns."""
+    out = np.zeros((nrows, len(cols)), dtype=object)
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            out[i, j] = v
+    return out
+
+
 def int_matrix(rows, ncols=0):
     """An object-dtype integer matrix from nested lists."""
     rows = [list(map(int, r)) for r in rows]
@@ -242,3 +259,12 @@ def boundary_matrix(cc, n):
 def chain_map_matrix(f, i):
     """The degree-i matrix of the map f induces on normalized chains."""
     return _dense(_chain_map_columns(f, i), f.cod.count(i))
+
+
+def homology_map_matrix(f, i):
+    """The matrix of the map f induces on H_i, in the cycle-lattice bases
+    that ``induced_homology_map`` fixes per space and degree."""
+    ccX, ccY = chain_complex(f.dom), chain_complex(f.cod)
+    (KX, _), (KY, _) = _presentation(ccX, i), _presentation(ccY, i)
+    F = _chain_map_columns(f, i)
+    return _dense(_solve(KY, ccY.rank(i), [_apply(F, z) for z in KX]), len(KY))
