@@ -315,8 +315,7 @@ def check_subcomplex(tm: TowerMap):
     return True, None
 
 
-def check_intersection(X: SimplicialSet, subsets, cap, variant="all-maps",
-                       budget=DEFAULT_BUDGET):
+def check_intersection(X: SimplicialSet, subsets, cap, budget=DEFAULT_BUDGET):
     """Does tower-building commute with intersecting subcomplexes of X?
 
     ``subsets`` is a family of face-closed generator subsets of X.  Both
@@ -340,7 +339,7 @@ def check_intersection(X: SimplicialSet, subsets, cap, variant="all-maps",
     # each distinct tower and tower map is made once, judged by equality
     @cache
     def tower(K):
-        return cw_tower(K, cap, variant, budget)
+        return cw_tower(K, cap, budget=budget)
 
     @cache
     def image(incl):

@@ -301,6 +301,14 @@ class TestInducedMaps:
         a = homology_map_matrix(p1, 1)
         b = homology_map_matrix(f, 1)
         assert (a == b).all()
+        # tie the matrices to induced_homology_map: the circle has no
+        # 2-simplices, so H_1 of the target is its cycle lattice and the
+        # map is onto exactly when the matrix has unit Smith factors
+        assert boundary_matrix(chain_complex(p1.cod), 2).size == 0
+        onto = invariant_factors(a) == (1,) * a.shape[0]
+        hp, hf = induced_homology_map(p1, 1), induced_homology_map(f, 1)
+        assert hp == hf
+        assert hp.is_epi == onto
 
     def test_chain_map_matrix_of_collapse(self):
         X = vertex_with_loop()

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import os
 import random
 
@@ -43,7 +42,13 @@ from cwtower.textio import (
 
 from cwtower.cli import main
 
-from util import SEED, oracle_square_line, random_one_dim_target, vertex_with_loop
+from util import (
+    SEED,
+    oracle_square_line,
+    random_one_dim_target,
+    tree_sha256,
+    vertex_with_loop,
+)
 
 
 class TestSimplexTokens:
@@ -274,19 +279,6 @@ GOLDEN_CAP3_CELLULAR_CIRCLE = (
 # the point cap-4 directory (57,629 stage-4 cells), as written when squares
 # held SimplicialMaps and labels came from format_square
 GOLDEN_CAP4_POINT = "c345760f734ce4254394818559548b5433d7e01b202a7eebb615a0cb3c9185fe"
-
-def tree_sha256(root):
-    """sha256 over the sorted relative paths and bytes of a directory."""
-    h = hashlib.sha256()
-    for dirpath, dirs, files in os.walk(root):
-        dirs.sort()
-        for name in sorted(files):
-            full = os.path.join(dirpath, name)
-            h.update(os.path.relpath(full, root).encode() + b"\0")
-            with open(full, "rb") as fh:
-                h.update(fh.read())
-            h.update(b"\0")
-    return h.hexdigest()
 
 
 class TestTowerDirectory:

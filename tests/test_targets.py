@@ -27,7 +27,7 @@ from cwtower import (
 from cwtower.core import Simplex, SimplexRef, SimplicialSet
 from cwtower.textio import read_text
 
-from test_io import tree_sha256
+from util import tree_sha256
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 R = SimplexRef

@@ -1,5 +1,7 @@
 """Shared test helpers: brute-force oracles and random instance generators."""
 
+import hashlib
+import os
 from itertools import product
 
 import numpy as np
@@ -268,3 +270,17 @@ def homology_map_matrix(f, i):
     (KX, _), (KY, _) = _presentation(ccX, i), _presentation(ccY, i)
     F = _chain_map_columns(f, i)
     return _dense(_solve(KY, ccY.rank(i), [_apply(F, z) for z in KX]), len(KY))
+
+
+def tree_sha256(root):
+    """sha256 over the sorted relative paths and bytes of a directory."""
+    h = hashlib.sha256()
+    for dirpath, dirs, files in os.walk(root):
+        dirs.sort()
+        for name in sorted(files):
+            full = os.path.join(dirpath, name)
+            h.update(os.path.relpath(full, root).encode() + b"\0")
+            with open(full, "rb") as fh:
+                h.update(fh.read())
+            h.update(b"\0")
+    return h.hexdigest()
