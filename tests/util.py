@@ -272,6 +272,16 @@ def homology_map_matrix(f, i):
     return _dense(_solve(KY, ccY.rank(i), [_apply(F, z) for z in KX]), len(KY))
 
 
+def row_sha256(row):
+    """sha256 of a stage's squares in order: per square, a line of its
+    facet ranks and then its disk rank."""
+    h = hashlib.sha256()
+    facets = np.asarray(row.facets, dtype=np.int64).reshape(len(row), -1).tolist()
+    for xs, b in zip(facets, np.asarray(row.tops, dtype=np.int64).tolist()):
+        h.update((" ".join(map(str, xs)) + f" {b}\n").encode())
+    return h.hexdigest()
+
+
 def tree_sha256(root):
     """sha256 over the sorted relative paths and bytes of a directory."""
     h = hashlib.sha256()
