@@ -15,8 +15,9 @@ The stage it returns is checked from its new cells, on ranks, only when
 
 from __future__ import annotations
 
-from functools import cache, partial
-from operator import itemgetter
+from functools import partial
+
+import numpy as np
 
 from .core import (
     Simplex,
@@ -36,11 +37,11 @@ def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
     Returns (X2, p2).  A tower only appends: X2 is X with the new n-cells
     after its generators, and p2 is p with the new cells' disks appended.
     Square k is its facets (x_0 .. x_n) and its disk b, ranks in the
-    row's table, which is checked once to be over (n, p).  Each square is
-    checked to commute on ranks, the one condition its ranks do not give
-    by construction: the faces of b are p(x_0) .. p(x_n).  The new cell's
-    faces are x_0 .. x_n, and its label, the square's line, is made only
-    when it is read (a ``LabelRow`` over the row's ``line``).
+    row's table, which is checked once to be over (n, p).  Every square is
+    checked to commute on the rank arrays, the one condition its ranks do
+    not give by construction: the faces of b are p(x_0) .. p(x_n).  The
+    new cell's faces are x_0 .. x_n, and its label, the square's line, is
+    made only when it is read (a ``LabelRow`` over the row's ``lines``).
 
     X2 is not validated here.  It gets a deferred check (``defer_report``)
     that ``chain_complex`` runs: X's report must be clean, and every new
@@ -59,46 +60,30 @@ def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
         raise ValidationError("square 0: attaching map does not land in X")
     if table.p != p:
         raise ValidationError("square 0 was not found over the projection")
-    faces_b, p_top, cand = table.faces_b[n], table.p_top, table.cand_a[n - 1]
-    last = None
-    faces = []
-    for k, (xs, b) in enumerate(zip(squares.facets, squares.tops)):
-        if xs is not last:  # one attaching map's squares come together
-            last = xs
-            below = tuple(map(p_top.__getitem__, xs))
-            # facet j is the image of d_j, so it is face j of the new cell
-            cell = tuple(map(cand.__getitem__, xs))
-        if faces_b[b] != below:
-            raise ValidationError(f"square {k}: attaching square does not commute")
-        faces.append(cell)
-    X2 = with_generators(X, n, faces, squares.line)
-    X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], squares.facets))
+    facets, tops = squares.facets, squares.tops
+    disk_faces, images = table.faces_b[n][tops], table.p_top[facets]
+    if not np.array_equal(disk_faces, images):
+        k = int((disk_faces != images).any(axis=1).argmax())
+        raise ValidationError(f"square {k}: attaching square does not commute")
+    # facet j is the image of d_j, so it is face j of the new cell
+    faces = list(map(tuple, np.array(table.cand_a[n - 1], dtype=object)[facets].tolist()))
+    X2 = with_generators(X, n, faces, squares.lines)
+    X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], facets))
     disks = table.cand_b[n]
-    p2 = SimplicialMap(X2, p.cod, appended(p.assign, n, map(disks.__getitem__, squares.tops)))
+    p2 = SimplicialMap(X2, p.cod, appended(p.assign, n, map(disks.__getitem__, tops.tolist())))
     return X2, p2
 
 
-@cache
-def _identity_plan(n):
-    """Two itemgetters over the concatenated face ranks of x_0 .. x_n (n
-    per facet, n >= 2): they read d_i x_j and d_{j-1} x_i for every i < j."""
-    pairs = [(i, j) for j in range(n + 1) for i in range(j)]
-    return (itemgetter(*[j * n + i for i, j in pairs]),
-            itemgetter(*[i * n + j - 1 for i, j in pairs]))
-
-
 def _attached_report(X, faces, cells, X2):
-    """``validate``'s report of X2, which is X plus one cell per facet tuple
-    of ``cells``: empty when X is clean and every tuple satisfies the
-    simplicial identities on the rank face table ``faces``, else the full
-    walk of X2.  The faces of an old simplex are the same in X and X2."""
+    """``validate``'s report of X2, which is X plus one cell per facet row
+    of ``cells``: empty when X is clean and every row satisfies the
+    simplicial identities d_i x_j = d_{j-1} x_i (i < j) on the rank face
+    table ``faces``, else the full walk of X2.  The faces of an old
+    simplex are the same in X and X2."""
     if not X.checked_report:
-        n = len(cells[0]) - 1
-        if n < 2:  # a 1-cell's faces are vertices: no identity to check
-            return ()
-        lhs, rhs = _identity_plan(n)
-        flat = (sum(map(faces.__getitem__, xs), ()) for xs in cells)
-        if all(lhs(f) == rhs(f) for f in flat):
+        n = cells.shape[1] - 1  # a 1-cell's faces are vertices: no identity to check
+        if n < 2 or all(np.array_equal(faces[cells[:, j], i], faces[cells[:, i], j - 1])
+                        for j in range(1, n + 1) for i in range(j)):
             return ()
     return X2.validation_report
 
@@ -111,7 +96,8 @@ def stage_zero(f: SimplicialMap):
     these come after A's generators.  Returns (A0, p0).
     """
     nb = f.cod.count(0)
-    A0 = with_generators(f.dom, 0, [()] * nb, "point->{}".format)
+    A0 = with_generators(f.dom, 0, [()] * nb,
+                         lambda start, stop: [f"point->{b}" for b in range(start, stop)])
     p0 = SimplicialMap(A0, f.cod, appended(
         f.assign, 0, [Simplex((), SimplexRef(0, b)) for b in range(nb)]))
     return A0, p0

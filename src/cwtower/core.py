@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 
+# How many labels of new generators a ``LabelRow`` makes at a time
+LABEL_CHUNK = 4096
+
 
 class ValidationError(ValueError):
     """A simplicial set or map failed structural validation."""
@@ -191,20 +194,27 @@ class SimplicialSet:
 
 
 class LabelRow:
-    """The labels of ``head``, then ``label(k)`` for k < ``count``, each made
-    when read; immutable, equal and hashing equal to the tuple of them."""
+    """The labels of ``head``, then those of ``count`` new generators, each
+    made when read: ``lines(start, stop)`` makes the labels of new
+    generators start..stop-1, and iterating makes them ``LABEL_CHUNK`` at
+    a time.  Immutable, equal and hashing equal to the tuple of them."""
 
-    def __init__(self, head, label, count):
-        self.head, self.label, self.count = head, label, count
+    def __init__(self, head, lines, count):
+        self.head, self.lines, self.count = head, lines, count
 
     def __len__(self):
         return len(self.head) + self.count
 
+    def __iter__(self):
+        yield from self.head
+        for start in range(0, self.count, LABEL_CHUNK):
+            yield from self.lines(start, min(start + LABEL_CHUNK, self.count))
+
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
+            return tuple(self)[i]
         k = range(len(self))[i] - len(self.head)  # IndexError out of range
-        return self.head[k] if k < 0 else self.label(k)
+        return self.head[k] if k < 0 else self.lines(k, k + 1)[0]
 
     def __eq__(self, other):
         return isinstance(other, (tuple, LabelRow)) and tuple(self) == tuple(other)
@@ -353,12 +363,12 @@ def appended(rows, d, new):
     return rows[:d] + (rows[d] + new,) + rows[d + 1:]
 
 
-def with_generators(X: SimplicialSet, d, faces, label) -> SimplicialSet:
+def with_generators(X: SimplicialSet, d, faces, lines) -> SimplicialSet:
     """X with new d-generators after its own, with these face tuples; the
-    counts are read off the face rows.  ``label(k)`` is the label of new
-    generator k, made when read (a ``LabelRow``)."""
+    counts are read off the face rows.  ``lines(start, stop)`` gives the
+    labels of new generators start..stop-1, made when read (a ``LabelRow``)."""
     rows = X.labels + ((),) * (d + 1 - len(X.labels))
-    row = LabelRow(rows[d], label, len(faces))
+    row = LabelRow(rows[d], lines, len(faces))
     faces = appended(X.faces, d, faces)
     return SimplicialSet(tuple(map(len, faces)), faces, rows[:d] + (row,) + rows[d + 1:])
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain
 
+import numpy as np
+
 from .core import (
     Simplex,
     SimplexRef,
@@ -207,14 +209,15 @@ def _square_images(n, prev, g, T: Tower, Tp: Tower):
         raise ValidationError(f"stage {n}: squares are not over the stage projection")
     # each candidate's image rank: the facets through prev, the disks through g
     try:
-        img_a = [tgt.rank_a[n - 1][prev(s)] for s in src.cand_a[n - 1]]
-        img_b = [tgt.rank_b[n][g(s)] for s in src.cand_b[n]]
+        img_a = np.array([tgt.rank_a[n - 1][prev(s)] for s in src.cand_a[n - 1]], dtype=np.int64)
+        img_b = np.array([tgt.rank_b[n][g(s)] for s in src.cand_b[n]], dtype=np.int64)
     except KeyError:
         raise ValidationError(f"stage {n}: a stage map leaves its target") from None
     base_p = Tp.stages[n - 1].count(n)
+    row, index = T.squares[n], Tp.squares[n].index
     out = []
-    for xs, b in zip(T.squares[n].facets, T.squares[n].tops):
-        i = Tp.squares[n].index.get((tuple(map(img_a.__getitem__, xs)), img_b[b]))
+    for xs, b in zip(map(tuple, img_a[row.facets].tolist()), img_b[row.tops].tolist()):
+        i = index.get((xs, b))
         if i is None:
             raise missing
         out.append(Simplex((), SimplexRef(n, base_p + i)))

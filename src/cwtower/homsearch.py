@@ -2,29 +2,35 @@
 
 ``enumerate_maps`` backtracks over generators in order of increasing
 dimension, assigning each generator a target simplex (in normal form)
-and pruning on the first violated face equation.  ``enumerate_squares``
-uses the Yoneda reduction instead: a map of Delta^n is an n-simplex, and
-a map of its boundary is a compatible tuple of (n-1)-simplices.  Output
-order is canonical: lexicographic on generator assignments by dimension
-then index, with candidate simplices ordered by degeneracy word then
+and pruning on the first violated face equation.  Output order is
+canonical: lexicographic on generator assignments by dimension then
+index, with candidate simplices ordered by degeneracy word then
 generator.
 
-By the Yoneda reduction an attaching square is its facets x_0 .. x_n
-and its disk b, and that is the only kind of square there is: ranks into
-the one ``SquareTable`` of candidate simplices that all squares of one
-search share, which holds the face tables of the candidates as ranks.
-A search returns one ``SquareRow``: the table, the facets and the disks.
-A square's lower rows, sort key and line are gathered from its facets'
-faces by one plan per n, and its maps are built only when asked for;
-gluing, labels and induced tower maps read the row's ranks.
+``enumerate_squares`` uses the Yoneda reduction instead: a map of
+Delta^n is an n-simplex b, and a map of its boundary is a tuple of
+(n-1)-simplices x_0 .. x_n with d_i x_j = d_{j-1} x_i for i < j.  So an
+attaching square is its facets and its disk, ranks into the one
+``SquareTable`` that all squares of one search share, and the search
+runs on int64 rank arrays: the facets are joined level by level on
+mixed-radix face prefixes (argsort, searchsorted, repeat), the tuples
+are joined the same way with the disks, and one lexsort over the
+gathered attaching maps puts the squares in canonical order.  A key
+tuple is one int64 only while ``base ** width < KEY_LIMIT`` (checked in
+Python ints), and its rows are numbered by ``np.unique`` otherwise, so
+ranks stay exact.  A search returns one ``SquareRow`` of rank arrays;
+labels and stage files gather attaching maps and their tokens a chunk of
+rows at a time, and a square's maps are built only when asked for.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
 from itertools import accumulate, combinations
-from math import comb
-from operator import getitem, itemgetter
+from math import comb, prod
+from operator import getitem
+
+import numpy as np
 
 from .core import (
     Simplex,
@@ -41,6 +47,9 @@ from .core import (
 )
 
 DEFAULT_BUDGET = 10_000_000
+
+# A key tuple of ranks is read as one int64 only when it stays below this
+KEY_LIMIT = 2 ** 62
 
 
 class BudgetExceeded(RuntimeError):
@@ -143,34 +152,84 @@ def _yoneda_plan(m):
 
 def _yoneda(m, faces, count):
     """The flat Yoneda ranks (``_yoneda_plan`` order) of the m-simplices
-    0..count-1, read off ``faces[d][r]``, the face ranks of rank r in dim d."""
+    0..count-1, one row each, read off the rank face tables ``faces``."""
     dims, steps, _ = _yoneda_plan(m)
-    cols = [None] * len(dims)
-    cols[-1] = range(count)
+    out = np.empty((count, len(dims)), dtype=np.int64)
+    out[:, -1] = np.arange(count)
     for q, parent, i in steps:
-        up = faces[dims[parent]]
-        cols[q] = [up[r][i] for r in cols[parent]]
-    return list(zip(*cols))
+        out[:, q] = faces[dims[parent]][out[:, parent], i]
+    return out
 
 
 @cache
 def _gather_plan(n):
-    """The gather of an attaching map from its facets, one per n.
+    """How to gather attaching maps from their facets, one plan per n.
 
     For facets (x_0 .. x_n), x_j being the image of the face d_j of
-    Delta^n, the itemgetter returned reads the whole map, flat in the
-    generator order of the boundary of Delta^n, off the concatenated
-    Yoneda tuples of x_0 .. x_n: a boundary generator is a vertex subset
-    S, and it is read in the facet of the largest vertex j missing from S.
+    Delta^n, the attaching map, flat in the generator order of the
+    boundary of Delta^n, reads a boundary generator S (a vertex subset)
+    in the facet of the largest vertex j missing from S, at the Yoneda
+    position of S in that facet.  Returns (facet, position, dims), one
+    entry per column of the map: the facet it is read in, the position
+    in that facet's Yoneda row, and the column's dimension.
     """
     inner = {s: q for q, s in enumerate(
         s for k in range(n) for s in combinations(range(n), k + 1))}
-    items = []
+    facet, position, dims = [], [], []
     for k in range(n):
         for s in combinations(range(n + 1), k + 1):
             j = max(v for v in range(n + 1) if v not in s)
-            items.append(j * len(inner) + inner[tuple(v - (v > j) for v in s)])
-    return itemgetter(*items)
+            facet.append(j)
+            position.append(inner[tuple(v - (v > j) for v in s)])
+            dims.append(k)
+    return np.array(facet), np.array(position), tuple(dims)
+
+
+@cache
+def _places(radices, limit):
+    """Key columns with these radices, split into runs that each read as
+    one mixed-radix integer below ``limit``: (start, stop, place values)
+    per run.  The products are Python ints, so the check is exact."""
+    runs, start, size = [], 0, 1
+    for c, r in enumerate(radices):
+        if c > start and size * r >= limit:
+            runs.append((start, c))
+            start, size = c, 1
+        size *= r
+    runs.append((start, len(radices)))
+    return tuple((a, b, np.array([prod(radices[c + 1:b]) for c in range(a, b)], dtype=np.int64))
+                 for a, b in runs)
+
+
+def _codes(base, keys, probes):
+    """One int64 per row of ``keys`` and of ``probes`` (entries below
+    ``base``), equal exactly when the rows are: a row's mixed-radix number
+    if ``base ** width < KEY_LIMIT``, else its runs' numbers numbered by
+    ``np.unique`` over the rows of both."""
+    runs = _places((base,) * keys.shape[1], KEY_LIMIT)
+    if len(runs) == 1:
+        return keys.dot(runs[0][2]), probes.dot(runs[0][2])
+    both = np.concatenate((keys, probes))
+    packed = np.stack([both[:, a:b].dot(place) for a, b, place in runs], axis=1)
+    codes = np.unique(packed, axis=0, return_inverse=True)[1].reshape(-1)
+    return codes[:len(keys)], codes[len(keys):]
+
+
+def _match(base, keys, probes):
+    """The rows of ``keys`` equal to each row of ``probes`` (entries below
+    ``base``): (order, hi, counts), the keys' row numbers sorted stably by
+    key, and per probe the end and the length of its run in ``order``."""
+    keys, probes = _codes(base, keys, probes)
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    hi = keys.searchsorted(probes, "right")
+    return order, hi, hi - keys.searchsorted(probes, "left")
+
+
+def _runs(order, hi, counts, ends):
+    """``order[hi[k] - counts[k]:hi[k]]`` for every k, concatenated; ``ends``
+    is ``counts.cumsum()``."""
+    return order[(hi - ends).repeat(counts) + np.arange(ends[-1] if len(ends) else 0)]
 
 
 def _rows(flat, n):
@@ -180,8 +239,9 @@ def _rows(flat, n):
 
 def _grow(X, top, cand=(), rank=(), faces=(), tokens=()):
     """The candidates of X through dimension ``top``, their ranks, the ranks
-    ``faces[d][r]`` in ``cand[d - 1]`` of the faces of ``cand[d][r]`` and
-    their tokens, keeping the rows given below dimension ``top``."""
+    ``faces[d][r]`` in ``cand[d - 1]`` of the faces of ``cand[d][r]`` (an
+    int64 array, no columns for d = 0) and their tokens, keeping the rows
+    given below dimension ``top``."""
     from .textio import format_simplex
     cand, rank, faces, tokens = (list(rows[:top]) for rows in (cand, rank, faces, tokens))
     for d in range(len(cand), top + 1):
@@ -189,9 +249,10 @@ def _grow(X, top, cand=(), rank=(), faces=(), tokens=()):
         rank.append({s: r for r, s in enumerate(cand[d])})
         tokens.append(list(map(format_simplex, cand[d])))
         gens = X.faces[d] if d < len(X.counts) else ()
-        faces.append([tuple(map(rank[d - 1].__getitem__, gens[s.gen.index] if not s.word
-                                else [face(X, s, i) for i in range(d + 1)]))
-                      for s in cand[d]] if d else None)
+        rows = [tuple(map(rank[d - 1].__getitem__, gens[s.gen.index] if not s.word
+                          else [face(X, s, i) for i in range(d + 1)]))
+                for s in cand[d]] if d else []
+        faces.append(np.array(rows, dtype=np.int64).reshape(len(cand[d]), d + 1 if d else 0))
     return cand, rank, faces, tokens
 
 
@@ -202,18 +263,19 @@ class SquareTable:
     square it returns shares it.  ``cand_a[d]`` lists the d-simplices of
     the stage A = p.dom for d < n and ``cand_b[d]`` those of the target
     B = p.cod for d <= n, in ``simplex_candidates`` order; ``rank_a`` and
-    ``rank_b`` invert them.  ``faces_a[d][r]`` and ``faces_b[d][r]`` are
-    the ranks of the faces of candidate r, ``tokens_a[d][r]`` and
-    ``tokens_b[d][r]`` their texts, and ``p_top[x]`` is the rank in
-    ``cand_b[n - 1]`` of p applied to ``cand_a[n - 1][x]``.  A tower grows
-    one table (``below``), so each candidate is listed, ranked and
-    formatted once per tower.
+    ``rank_b`` invert them.  ``faces_a[d]`` and ``faces_b[d]`` are int64
+    arrays whose row r holds the ranks of the faces of candidate r,
+    ``tokens_a[d][r]`` and ``tokens_b[d][r]`` are its text, and
+    ``p_top[x]`` is the rank in ``cand_b[n - 1]`` of p applied to
+    ``cand_a[n - 1][x]``.  A tower grows one table (``below``), so each
+    candidate is listed, ranked, faced and formatted once per tower.
 
     A square is its facets (x_0 .. x_n), ranks in ``cand_a[n - 1]``, and
     its disk b, a rank in ``cand_b[n]``.  Everything else about it is read
-    off the face tables: ``attach_flat`` gathers the attaching map from the
-    facets' Yoneda tuples, ``yoneda_b[b]`` is the Yoneda map of b, and
-    ``line`` reads their tokens from ``token_rows``, the row each rank indexes.
+    off the face tables as arrays, many squares at a time:
+    ``attach_ranks`` gathers attaching maps from the facets' Yoneda rows
+    ``yoneda_a``, ``yoneda_b[b]`` is the Yoneda map of b, and ``lines``
+    makes the squares' lines from their tokens.
     """
 
     def __init__(self, n, p: SimplicialMap, below: SquareTable | None = None):
@@ -226,13 +288,8 @@ class SquareTable:
         b = (below.cand_b, below.rank_b, below.faces_b, below.tokens_b) if below else ()
         self.cand_a, self.rank_a, self.faces_a, self.tokens_a = _grow(p.dom, n - 1, *a)
         self.cand_b, self.rank_b, self.faces_b, self.tokens_b = _grow(p.cod, n, *b)
-        self.p_top = [self.rank_b[n - 1][p(s)] for s in self.cand_a[n - 1]]
-
-    @cached_property
-    def token_rows(self):
-        """The token rows that attaching-map and disk ranks index, made on first use."""
-        dims = _yoneda_plan(self.n)[0]
-        return [self.tokens_a[d] for d in dims[:-1]], [self.tokens_b[d] for d in dims]
+        self.p_top = np.array([self.rank_b[n - 1][p(s)] for s in self.cand_a[n - 1]],
+                              dtype=np.int64)
 
     @cached_property
     def yoneda_a(self):
@@ -251,20 +308,35 @@ class SquareTable:
         ranks carries k-skeleta into k-skeleta."""
         return all(s.gen.dim <= d for d, c in enumerate(self.cand_a) for s in c)
 
-    def attach_flat(self, facets):
-        """The attaching map of ``facets``: ranks, flat in boundary generator order."""
-        y = self.yoneda_a
-        return _gather_plan(self.n)(sum(map(y.__getitem__, facets), ()))
+    def attach_ranks(self, facets, cols=slice(None)):
+        """Columns ``cols`` of the attaching maps of the facet rows
+        ``facets``, one row of ranks per square, flat in boundary generator
+        order: one gather from the facets' Yoneda rows."""
+        facet, position, _ = _gather_plan(self.n)
+        return self.yoneda_a[np.asarray(facets)[:, facet[cols]], position[cols]]
+
+    @cached_property
+    def tokens(self):
+        """A's tokens below n as one object array, the offsets in it of the
+        dimensions of the attaching-map columns, and that of dimension n - 1."""
+        starts = list(accumulate(map(len, self.tokens_a), initial=0))
+        return (np.array([t for row in self.tokens_a for t in row], dtype=object),
+                np.array([starts[d] for d in _gather_plan(self.n)[2]]), starts[self.n - 1])
 
     @cached_property
     def disk_text(self):
         """``[b]``: the tokens of the Yoneda map of disk b, joined by spaces."""
-        return [" ".join(map(getitem, self.token_rows[1], y)) for y in self.yoneda_b]
+        dims = _yoneda_plan(self.n)[0]
+        return [" ".join(map(getitem, map(self.tokens_b.__getitem__, dims), y))
+                for y in self.yoneda_b.tolist()]
 
-    def line(self, facets, top):
-        """The line of the square (facets, top), which is its cell's label."""
-        attach = " ".join(map(getitem, self.token_rows[0], self.attach_flat(facets)))
-        return f"square n={self.n} attach[{attach}] disk[{self.disk_text[top]}]"
+    def lines(self, facets, tops):
+        """The lines of the squares (facets[k], tops[k]), which are their
+        cells' labels: one gather of attaching-map tokens for them all."""
+        tokens, offsets, _ = self.tokens
+        attach = tokens[self.attach_ranks(facets) + offsets].tolist()
+        return [f"square n={self.n} attach[{' '.join(a)}] disk[{self.disk_text[b]}]"
+                for a, b in zip(attach, np.asarray(tops).tolist())]
 
     def ranks_alike(self, other: SquareTable):
         """Do ranks mean the same simplices?  That depends on n, stage and target."""
@@ -279,7 +351,7 @@ class AttachmentSquare:
     ``table.p.dom`` and its disk map sends Delta^n into the target
     ``table.p.cod``.  By the Yoneda reduction a square is its facets and
     its disk: the images x_0 .. x_n of the faces d_0 .. d_n of Delta^n,
-    which fix the attaching map, held as ``facets`` (ranks in
+    which fix the attaching map, held as ``facets`` (a tuple of ranks in
     ``table.cand_a[n - 1]``), and the n-simplex b that the disk map is,
     held as ``top`` (a rank in ``table.cand_b[n]``).  The maps ``attach``
     and ``disk`` are read off the table only when they are asked for.
@@ -294,7 +366,7 @@ class AttachmentSquare:
     @cached_property
     def attach(self) -> SimplicialMap:
         t = self.table
-        rows = _rows(t.attach_flat(self.facets), self.n)[:-1]
+        rows = _rows(t.attach_ranks([self.facets])[0].tolist(), self.n)[:-1]
         return SimplicialMap(boundary_simplex(self.n), t.p.dom, tuple(
             tuple(map(t.cand_a[d].__getitem__, row)) for d, row in enumerate(rows)))
 
@@ -304,7 +376,7 @@ class AttachmentSquare:
         t = self.table
         return SimplicialMap(standard_simplex(self.n), t.p.cod, tuple(
             tuple(map(t.cand_b[d].__getitem__, row))
-            for d, row in enumerate(_rows(t.yoneda_b[self.top], self.n))))
+            for d, row in enumerate(_rows(t.yoneda_b[self.top].tolist(), self.n))))
 
     def __eq__(self, other):
         if not isinstance(other, AttachmentSquare):
@@ -320,37 +392,42 @@ class AttachmentSquare:
 
 
 class SquareRow:
-    """The attaching squares of one stage, in order: one table, two rank rows.
+    """The attaching squares of one stage, in order: one table, two rank arrays.
 
-    Square k is its facets ``facets[k]`` and its disk ``tops[k]``, ranks in
-    ``table``.  The row reads as a sequence of ``AttachmentSquare``s, each
-    made only when indexed; a slice is a row.  Rows compare by ranks.
+    Square k is its facets ``facets[k]`` (a row of an int64 array of n + 1
+    columns) and its disk ``tops[k]``, ranks in ``table``.  The row reads
+    as a sequence of ``AttachmentSquare``s, each made only when indexed,
+    with its facets a tuple of ints; a slice is a row.  Rows compare by
+    ranks.
     """
 
     def __init__(self, table: SquareTable, facets, tops):
-        self.table, self.facets, self.tops = table, facets, tops
+        self.table, self.facets, self.tops = table, np.asarray(facets), np.asarray(tops)
 
     def __len__(self):
         return len(self.tops)
 
     def __getitem__(self, k):
-        kind = SquareRow if isinstance(k, slice) else AttachmentSquare
-        return kind(self.table, self.facets[k], self.tops[k])
+        if isinstance(k, slice):
+            return SquareRow(self.table, self.facets[k], self.tops[k])
+        return AttachmentSquare(self.table, tuple(self.facets[k].tolist()), int(self.tops[k]))
 
     def __eq__(self, other):
         if not isinstance(other, SquareRow):
             return NotImplemented
-        return (self.tops == other.tops and self.facets == other.facets
+        return (np.array_equal(self.tops, other.tops)
+                and np.array_equal(self.facets, other.facets)
                 and self.table.ranks_alike(other.table))
 
-    def line(self, k):
-        """The line of square k, which labels its cell."""
-        return self.table.line(self.facets[k], self.tops[k])
+    def lines(self, start, stop):
+        """The lines of squares start..stop-1, which label their cells."""
+        return self.table.lines(self.facets[start:stop], self.tops[start:stop])
 
     @cached_property
     def index(self):
         """The position of each square, keyed by its (facets, top)."""
-        return {sq: k for k, sq in enumerate(zip(self.facets, self.tops))}
+        return {sq: k for k, sq in enumerate(zip(map(tuple, self.facets.tolist()),
+                                                  self.tops.tolist()))}
 
 
 def square_commutes(sq: AttachmentSquare, p: SimplicialMap) -> bool:
@@ -367,51 +444,59 @@ def enumerate_squares(table: SquareTable, budget: Budget | None = None):
     A disk Delta^n -> B is an n-simplex b of B, and an attaching map from
     the boundary of Delta^n to A is a tuple (x_0 .. x_n) of
     (n-1)-simplices of A with d_i x_j = d_{j-1} x_i for i < j, x_i being
-    the image of the face d_i of Delta^n.  The tuples are built by a join
-    on a face index, and each is paired with the disks whose faces
-    (d_0 b .. d_n b) are (p x_0 .. p x_n).  Squares come in the order of
-    (attach, disk) under the canonical map order.
+    the image of the face d_i of Delta^n.  The search runs on int64 rank
+    arrays in three steps:
 
-    Simplices are handled as ranks in ``simplex_candidates`` order, so a
-    rank tuple sorts like the simplices it stands for: a tuple's sort key
-    is its attaching map, gathered as ranks from its facets' faces.  The
-    squares are returned as one ``SquareRow`` over ``table``.  Every join
-    step is charged to ``budget`` (a fresh ``Budget()`` if none is given).
+    * the tuples grow one facet a level: x_j joins on its first j faces,
+      matched against the faces d_{j-1} x_i of the tuple so far by a sort
+      of the candidates' face prefixes and two ``searchsorted`` (a join
+      step is one candidate matched to one tuple);
+    * each tuple is joined the same way with the disks b whose faces
+      (d_0 b .. d_n b) are (p x_0 .. p x_n);
+    * one ``np.lexsort`` over the attaching maps, gathered from the
+      facets' Yoneda rows, puts the squares in the order of (attach, disk)
+      under the canonical map order.
+
+    Ranks are in ``simplex_candidates`` order, so they sort like the
+    simplices they stand for.  The squares are returned as one
+    ``SquareRow`` over ``table``.  The steps of each join level, the sum
+    of its bucket lengths, are charged to ``budget`` (a fresh ``Budget()``
+    if none is given) before the level is built; if they exceed it,
+    ``used`` counts the buckets in the order of the tuples, up to the one
+    that crosses it.  The budget arithmetic is in Python ints.
     """
     if budget is None:
         budget = Budget()
     n = table.n
-    disks = {}
-    for b, fs in enumerate(table.faces_b[n]):
-        disks.setdefault(fs, []).append(b)
+    faces = table.faces_a[n - 1]
+    base = len(table.cand_a[n - 2]) if n > 1 else 1
+    left, steps = budget.limit - budget.used, 0
 
-    # x_j joins on its first j faces: d_i x_j = d_{j-1} x_i for i < j
-    top = table.faces_a[n - 1] if n > 1 else [()] * len(table.cand_a[0])
-    index = [{} for _ in range(n + 1)]
-    for r, fs in enumerate(top):
-        for j in range(n + 1):
-            index[j].setdefault(fs[:j], []).append(r)
-    left = budget.limit - budget.used
-    steps = 0
-    partial = [()]
-    for j in range(n + 1):
-        grown = []
-        for xs in partial:
-            bucket = index[j].get(tuple(top[x][j - 1] for x in xs) if n > 1 else (), ())
-            steps += len(bucket)
-            if steps > left:
-                budget.used += steps
-                raise BudgetExceeded(budget.limit, budget.used, "join steps")
-            grown.extend(xs + (x,) for x in bucket)
-        partial = grown
+    def charge(ends):  # the running total of one level's bucket lengths
+        nonlocal steps
+        total = int(ends[-1]) if len(ends) else 0
+        if steps + total > left:
+            budget.used += steps + int(ends[np.searchsorted(ends, left - steps, "right")])
+            raise BudgetExceeded(budget.limit, budget.used, "join steps")
+        steps += total
+
+    # x_0 is any candidate; x_j joins on its first j faces: d_i x_j = d_{j-1} x_i
+    # for i < j (a vertex has no faces, so for n = 1 the key is empty)
+    charge([len(faces)])
+    rows = np.arange(len(faces))[:, None]
+    for j in range(1, n + 1):
+        probes = faces[rows, j - 1] if n > 1 else rows[:, :0]
+        order, hi, counts = _match(base, faces[:, :j], probes)
+        ends = counts.cumsum()
+        charge(ends)
+        hits = _runs(order, hi, counts, ends)
+        rows = np.concatenate((rows.repeat(counts, axis=0), hits[:, None]), axis=1)
     budget.used += steps
 
-    p_top, attach_flat = table.p_top, table.attach_flat
-    found = []
-    for xs in partial:
-        matches = disks.get(tuple(map(p_top.__getitem__, xs)))
-        if matches is not None:
-            found.append((attach_flat(xs), xs, matches))
-    found.sort(key=itemgetter(0))
-    return SquareRow(table, [xs for _, xs, matches in found for _ in matches],
-                     [b for _, _, matches in found for b in matches])
+    if len(rows):  # no plan is made for a stage without squares (its n may be large)
+        radices = tuple(len(table.cand_a[d]) for d in _gather_plan(n)[2])
+        keys = [table.attach_ranks(rows, slice(a, b)).dot(place)
+                for a, b, place in _places(radices, KEY_LIMIT)]
+        rows = rows[np.lexsort(keys[::-1])]
+    order, hi, counts = _match(len(table.cand_b[n - 1]), table.faces_b[n], table.p_top[rows])
+    return SquareRow(table, rows.repeat(counts, axis=0), _runs(order, hi, counts, counts.cumsum()))

@@ -21,7 +21,7 @@ dimension d lists exactly d+1 faces, in order d_0 .. d_d.  Round-trip
 A square line is ``square n=<n> attach[<token> ...] disk[<token> ...]``,
 the attaching map and the disk map by their generator assignments.  It
 is read against the ``SquareTable`` of its stage: ``format_square`` is
-the table's ``line``, which also makes the cell labels, and
+the table's ``lines``, which also makes the cell labels, and
 ``parse_square`` returns the table's square.
 
 A tower directory is canonical: ``tower_files`` is the one definition of
@@ -39,8 +39,8 @@ import re
 from functools import lru_cache
 from itertools import chain, islice
 
-from .core import Simplex, SimplexRef, SimplicialMap, SimplicialSet, ValidationError
-from .core import validate
+from .core import LABEL_CHUNK, Simplex, SimplexRef, SimplicialMap, SimplicialSet
+from .core import ValidationError, validate
 from .homsearch import DEFAULT_BUDGET, AttachmentSquare, SquareTable
 
 FORMAT_VERSION = "v1"
@@ -339,7 +339,7 @@ def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
 
 def format_square(sq: AttachmentSquare) -> str:
     """The square's line, its table's ``line``, which is its cell's label."""
-    return sq.table.line(sq.facets, sq.top)
+    return sq.table.lines([sq.facets], [sq.top])[0]
 
 
 _SQUARE_RE = re.compile(r"^square n=(\d+) attach\[(.*)\] disk\[(.*)\]$")
@@ -379,7 +379,8 @@ def parse_square(line, table: SquareTable, line_no=None) -> AttachmentSquare:
     attach = candidate_ranks(boundary_simplex(n), table.rank_a, m.group(2))
     disk = candidate_ranks(standard_simplex(n), table.rank_b, m.group(3))
     facets, top = attach[:-n - 2:-1], disk[-1]
-    if attach != table.attach_flat(facets) or disk != table.yoneda_b[top]:
+    if (list(attach) != table.attach_ranks([facets])[0].tolist()
+            or list(disk) != table.yoneda_b[top].tolist()):
         raise ParseError("rows are not the faces of a square's facets and disk",
                          line_no)
     return AttachmentSquare(table, facets, top)
@@ -427,11 +428,14 @@ class _TowerLines:
             self.proj[0] += _map_lines(tower.projections[0].assign)[0][old:]
         elif tower.squares[n]:
             row = tower.squares[n]
-            new = islice(X.labels[n], old, None)  # each label made as it is written
-            for g, (xs, b, label) in enumerate(zip(row.facets, row.tops, new), old):
-                faces = " ".join(map(row.table.tokens_a[n - 1].__getitem__, xs))
+            tokens, _, start = row.table.tokens
+            faces = chain.from_iterable(  # one take of facet tokens per chunk of rows
+                tokens[row.facets[a:a + LABEL_CHUNK] + start].tolist()
+                for a in range(0, len(row), LABEL_CHUNK))
+            new = islice(X.labels[n], old, None)  # labels made a chunk at a time
+            for g, (fs, b, label) in enumerate(zip(faces, row.tops.tolist(), new), old):
                 labels.append(label + "\n")
-                self.gens[n].append(f'gen {n}:{g} label "{label}" faces {faces}\n')
+                self.gens[n].append(f'gen {n}:{g} label "{label}" faces {" ".join(fs)}\n')
                 self.proj[n].append(f"gen {n}:{g} -> {row.table.tokens_b[n][b]}\n")
         yield f"stage_{n}.sset", _sset_chunks(X.counts, self.gens)
         yield f"include_{n}.smap", _smap_chunks(below.counts, [

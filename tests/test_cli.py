@@ -25,6 +25,8 @@ from cwtower.cli import make_parser
 from cwtower.core import boundary_inclusion
 from cwtower.homsearch import Budget, SquareTable
 
+from util import tree_sha256
+
 
 @pytest.fixture
 def circle_file(tmp_path):
@@ -169,6 +171,16 @@ class TestBuild:
         assert main(["build", point_file, "--out", str(tmp_path / "t")] + flag) == 2
         assert "must be a non-negative integer" in one_error_line(capsys)
         assert not (tmp_path / "t").exists()
+
+    def test_budget_beyond_int64(self, circle_file, tmp_path, monkeypatch):
+        # a limit of 10**30 overflows int64: the budget stays a Python int
+        huge = str(10**30)
+        dirs = [tmp_path / name for name in ("default", "flag", "env")]
+        assert main(["build", circle_file, "--out", str(dirs[0])]) == 0
+        assert main(["build", circle_file, "--out", str(dirs[1]), "--budget", huge]) == 0
+        monkeypatch.setenv("CWTOWER_BUDGET", huge)
+        assert main(["build", circle_file, "--out", str(dirs[2])]) == 0
+        assert len({tree_sha256(d) for d in dirs}) == 1
 
     def test_zero_budget_stops_at_the_first_step(self, point_file, tmp_path, capsys):
         assert main(["build", point_file, "--out", str(tmp_path / "t"),

@@ -120,7 +120,7 @@ class TestAttachCells:
         assert good[0].table is good[-1].table
         bad = AttachmentSquare(good.table, good[0].facets, good[-1].top)
         assert not square_commutes(bad, p)
-        row = SquareRow(good.table, good.facets[:1] + [bad.facets], good.tops[:1] + [bad.top])
+        row = SquareRow(good.table, [good[0].facets, bad.facets], [good[0].top, bad.top])
         with pytest.raises(ValidationError, match="square 1: attaching square does not commute"):
             attach_cells(T.stages[0], row, p)
 
@@ -259,7 +259,7 @@ class TestLabelView:
         def refuse(*args):
             raise AssertionError("a label was made")
 
-        monkeypatch.setattr(SquareTable, "line", refuse)
+        monkeypatch.setattr(SquareTable, "lines", refuse)
         X = boundary_simplex(2)
         edges = [{SimplexRef(0, 0), SimplexRef(0, 1), SimplexRef(1, 0)},
                  {SimplexRef(0, 0), SimplexRef(0, 2), SimplexRef(1, 1)}]

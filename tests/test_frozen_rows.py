@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+import cwtower.homsearch as homsearch
 from cwtower import boundary_simplex, cw_tower, parse_sset, standard_simplex
 from cwtower.homsearch import Budget, BudgetExceeded, SquareTable, enumerate_squares
 from cwtower.textio import read_text
@@ -95,3 +96,15 @@ def test_budget_exceeded_records(name):
     for n in (1, 2, 3):
         enumerate_squares(SquareTable(n, T.projections[n - 1]), budget)
         assert budget.used == record["level_ends"][n * (n + 3) // 2 - 1], n
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_multi_column_keys_give_the_same_rows_and_budget_errors(name, monkeypatch):
+    # a limit of 2 splits every key of a base above 1 into one run per column
+    monkeypatch.setattr(homsearch, "KEY_LIMIT", 2)
+    T = cw_tower(CORPUS[name], 3)
+    assert tuple(row_sha256(T.squares[n]) for n in range(1, 4)) == ROWS_CAP4[name][:3]
+    for limit, used, message in BUDGET_RECORDS[name]["exceeded"]:
+        with pytest.raises(BudgetExceeded) as exc:
+            cw_tower(CORPUS[name], 3, budget=limit)
+        assert (str(exc.value), exc.value.used) == (message, used), limit

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from cwtower import (
 )
 from cwtower.core import Simplex, SimplexRef, SimplicialMap, face_closure_errors
 from cwtower.core import validate
+import cwtower.homsearch as homsearch
 from cwtower.homsearch import Budget, BudgetExceeded, SquareRow, SquareTable
 from cwtower.homsearch import simplex_candidates
 
@@ -295,6 +297,13 @@ TABLE_FIELDS = ("cand_a", "rank_a", "faces_a", "tokens_a",
                 "cand_b", "rank_b", "faces_b", "tokens_b", "p_top")
 
 
+def plain(value):
+    """A table field with its rank arrays as nested lists, to compare with ``==``."""
+    if isinstance(value, np.ndarray):
+        return (value.shape, value.tolist())
+    return [plain(v) for v in value] if isinstance(value, list) else value
+
+
 def assert_grown_tables_fresh(T):
     """Every table of T's stages, grown from the table below it as the
     build grows them, equals a table built from scratch, field by field."""
@@ -305,7 +314,7 @@ def assert_grown_tables_fresh(T):
         built = [sq.table for sq in T.squares[n][:1]]
         for t in [table] + built:
             for name in TABLE_FIELDS:
-                assert getattr(t, name) == getattr(fresh, name), (n, name)
+                assert plain(getattr(t, name)) == plain(getattr(fresh, name)), (n, name)
 
 
 class TestGrowingTable:
@@ -360,7 +369,8 @@ class TestRankEquality:
         # stage, and square 0 has the same ranks over different disks
         row = cw_tower(standard_simplex(0), 1).squares[1]
         loop = cw_tower(vertex_with_loop(), 1).squares[1][:1]
-        assert (row.facets, row.tops) == (loop.facets, loop.tops)
+        assert row.facets.tolist() == loop.facets.tolist()
+        assert row.tops.tolist() == loop.tops.tolist()
         assert row.table.p.dom == loop.table.p.dom
         assert row != loop and loop != row and row[0] != loop[0]
 
@@ -384,3 +394,49 @@ class TestRankEquality:
                 assert (a == b) == ((a.attach, a.disk) == (b.attach, b.disk))
                 if a == b:
                     assert hash(a) == hash(b)
+
+
+class TestIntegerKeys:
+    """The search's key tuples are exact int64: one mixed-radix number per
+    row when ``base ** width < KEY_LIMIT``, else rows numbered by
+    ``np.unique``; never floats."""
+
+    @pytest.mark.parametrize("limit", [2**62, 2, 50])
+    def test_codes_equal_exactly_when_rows_are(self, monkeypatch, limit):
+        rng = np.random.default_rng(SEED)
+        keys, probes = rng.integers(0, 7, size=(200, 3)), rng.integers(0, 7, size=(60, 3))
+        monkeypatch.setattr(homsearch, "KEY_LIMIT", limit)
+        codes = np.concatenate(homsearch._codes(7, keys, probes))
+        rows = np.concatenate((keys, probes))
+        assert codes.dtype == np.int64
+        same_code = codes[:, None] == codes[None, :]
+        assert (same_code == (rows[:, None, :] == rows[None, :, :]).all(axis=2)).all()
+
+    @pytest.mark.parametrize("limit", [2**62, 2])
+    def test_no_key_array_is_float(self, monkeypatch, limit):
+        seen = []
+        codes = homsearch._codes
+
+        def recorded_codes(base, keys, probes):
+            out = codes(base, keys, probes)
+            seen.extend([keys, probes, *out])
+            return out
+
+        class Numpy:  # homsearch's numpy, recording the keys of every lexsort
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def lexsort(self, keys):
+                seen.extend(keys)
+                return np.lexsort(keys)
+
+        monkeypatch.setattr(homsearch, "KEY_LIMIT", limit)
+        monkeypatch.setattr(homsearch, "_codes", recorded_codes)
+        monkeypatch.setattr(homsearch, "np", Numpy())
+        for B in (standard_simplex(1), boundary_simplex(2), standard_simplex(2)):
+            T = cw_tower(B, 3)
+            for row in T.squares[1:]:
+                t = row.table
+                seen.extend([row.facets, row.tops, t.p_top, t.yoneda_a, t.yoneda_b,
+                             *t.faces_a, *t.faces_b])
+        assert seen and all(a.dtype == np.int64 for a in seen)

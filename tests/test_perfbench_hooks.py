@@ -75,3 +75,17 @@ def test_argument_hooks_count_exactly(perfbench, tmp_path):
         assert c["colimits.cells_attached"] == c["homsearch.squares_out"] == 42
         assert c["textio.bytes_read"] == read
         assert c["textio.bytes_written"] == written
+
+
+def test_surface_the_benchmark_reads():
+    # the tracer counts calls of homsearch.face by name, and the structural
+    # check reads squares one by one: facets a tuple of ints, squares hashable
+    from cwtower import AttachmentSquare, homsearch
+
+    assert callable(homsearch.face)
+    row = cw_tower(boundary_simplex(2), 2).squares[2]
+    sq = row[3]
+    assert isinstance(sq, AttachmentSquare)
+    assert type(sq.facets) is tuple and all(type(x) is int for x in sq.facets)
+    assert type(sq.top) is int
+    assert {sq: 1}[row[3]] == 1 and hash(sq) == hash(row[3:4][0])
