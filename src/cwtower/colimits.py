@@ -61,9 +61,9 @@ def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
     if table.p != p:
         raise ValidationError("square 0 was not found over the projection")
     facets, tops = squares.facets, squares.tops
-    disk_faces, images = table.faces_b[n][tops], table.p_top[facets]
-    if not np.array_equal(disk_faces, images):
-        k = int((disk_faces != images).any(axis=1).argmax())
+    wrong = table.faces_b[n][tops] != table.p_top[facets]
+    if wrong.any():
+        k = int(wrong.any(axis=1).argmax())
         raise ValidationError(f"square {k}: attaching square does not commute")
     # facet j is the image of d_j, so it is face j of the new cell
     faces = list(map(tuple, np.array(table.cand_a[n - 1], dtype=object)[facets].tolist()))

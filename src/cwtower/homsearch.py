@@ -274,8 +274,9 @@ class SquareTable:
     its disk b, a rank in ``cand_b[n]``.  Everything else about it is read
     off the face tables as arrays, many squares at a time:
     ``attach_ranks`` gathers attaching maps from the facets' Yoneda rows
-    ``yoneda_a``, ``yoneda_b[b]`` is the Yoneda map of b, and ``lines``
-    makes the squares' lines from their tokens.
+    ``yoneda_a``, ``attach_keys`` weighs them into sort keys,
+    ``yoneda_b[b]`` is the Yoneda map of b, and ``lines`` gathers the
+    squares' lines from the facets' Yoneda tokens.
     """
 
     def __init__(self, n, p: SimplicialMap, below: SquareTable | None = None):
@@ -308,20 +309,35 @@ class SquareTable:
         ranks carries k-skeleta into k-skeleta."""
         return all(s.gen.dim <= d for d, c in enumerate(self.cand_a) for s in c)
 
-    def attach_ranks(self, facets, cols=slice(None)):
-        """Columns ``cols`` of the attaching maps of the facet rows
-        ``facets``, one row of ranks per square, flat in boundary generator
-        order: one gather from the facets' Yoneda rows."""
+    def attach_ranks(self, facets):
+        """The attaching maps of the facet rows ``facets``, one row of ranks
+        per square, flat in boundary generator order."""
         facet, position, _ = _gather_plan(self.n)
-        return self.yoneda_a[np.asarray(facets)[:, facet[cols]], position[cols]]
+        return self.yoneda_a[np.asarray(facets)[:, facet], position]
+
+    def attach_keys(self, facets):
+        """Sort keys of the attaching maps of the facet rows ``facets``: per
+        run of ``_places``, one int64 per row, the run's digits read as one
+        number, so the keys sort (the first run first) like the maps.  A
+        row's number is a sum over its facets: facet j weighs the digits
+        read in it, which is one product of ``yoneda_a`` per table."""
+        facet, position, dims = _gather_plan(self.n)
+        slots = np.arange(self.n + 1)
+        keys = []
+        for a, b, place in _places(tuple(len(self.cand_a[d]) for d in dims), KEY_LIMIT):
+            weights = np.zeros((self.yoneda_a.shape[1], self.n + 1), dtype=np.int64)
+            weights[position[a:b], facet[a:b]] = place
+            keys.append(self.yoneda_a.dot(weights)[facets, slots].sum(axis=1))
+        return keys
 
     @cached_property
-    def tokens(self):
-        """A's tokens below n as one object array, the offsets in it of the
-        dimensions of the attaching-map columns, and that of dimension n - 1."""
+    def yoneda_tokens(self):
+        """The tokens of the Yoneda maps of ``cand_a[n - 1]``: one object
+        array row per candidate, the candidate's own token last."""
+        dims = _yoneda_plan(self.n - 1)[0]
         starts = list(accumulate(map(len, self.tokens_a), initial=0))
-        return (np.array([t for row in self.tokens_a for t in row], dtype=object),
-                np.array([starts[d] for d in _gather_plan(self.n)[2]]), starts[self.n - 1])
+        tokens = np.array([t for row in self.tokens_a for t in row], dtype=object)
+        return tokens[self.yoneda_a + np.array([starts[d] for d in dims])]
 
     @cached_property
     def disk_text(self):
@@ -333,8 +349,8 @@ class SquareTable:
     def lines(self, facets, tops):
         """The lines of the squares (facets[k], tops[k]), which are their
         cells' labels: one gather of attaching-map tokens for them all."""
-        tokens, offsets, _ = self.tokens
-        attach = tokens[self.attach_ranks(facets) + offsets].tolist()
+        facet, position, _ = _gather_plan(self.n)
+        attach = self.yoneda_tokens[np.asarray(facets)[:, facet], position].tolist()
         return [f"square n={self.n} attach[{' '.join(a)}] disk[{self.disk_text[b]}]"
                 for a, b in zip(attach, np.asarray(tops).tolist())]
 
@@ -494,9 +510,6 @@ def enumerate_squares(table: SquareTable, budget: Budget | None = None):
     budget.used += steps
 
     if len(rows):  # no plan is made for a stage without squares (its n may be large)
-        radices = tuple(len(table.cand_a[d]) for d in _gather_plan(n)[2])
-        keys = [table.attach_ranks(rows, slice(a, b)).dot(place)
-                for a, b, place in _places(radices, KEY_LIMIT)]
-        rows = rows[np.lexsort(keys[::-1])]
+        rows = rows[np.lexsort(table.attach_keys(rows)[::-1])]
     order, hi, counts = _match(len(table.cand_b[n - 1]), table.faces_b[n], table.p_top[rows])
     return SquareRow(table, rows.repeat(counts, axis=0), _runs(order, hi, counts, counts.cumsum()))

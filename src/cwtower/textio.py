@@ -428,9 +428,9 @@ class _TowerLines:
             self.proj[0] += _map_lines(tower.projections[0].assign)[0][old:]
         elif tower.squares[n]:
             row = tower.squares[n]
-            tokens, _, start = row.table.tokens
+            tokens = row.table.yoneda_tokens[:, -1]  # each candidate's own token
             faces = chain.from_iterable(  # one take of facet tokens per chunk of rows
-                tokens[row.facets[a:a + LABEL_CHUNK] + start].tolist()
+                tokens[row.facets[a:a + LABEL_CHUNK]].tolist()
                 for a in range(0, len(row), LABEL_CHUNK))
             new = islice(X.labels[n], old, None)  # labels made a chunk at a time
             for g, (fs, b, label) in enumerate(zip(faces, row.tops.tolist(), new), old):
