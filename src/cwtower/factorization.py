@@ -37,6 +37,7 @@ from .homsearch import (
     Budget,
     BudgetExceeded,
     SquareTable,
+    _match,
     enumerate_squares,
 )
 from .colimits import attach_cells, stage_zero
@@ -214,14 +215,14 @@ def _square_images(n, prev, g, T: Tower, Tp: Tower):
     except KeyError:
         raise ValidationError(f"stage {n}: a stage map leaves its target") from None
     base_p = Tp.stages[n - 1].count(n)
-    row, index = T.squares[n], Tp.squares[n].index
-    out = []
-    for xs, b in zip(map(tuple, img_a[row.facets].tolist()), img_b[row.tops].tolist()):
-        i = index.get((xs, b))
-        if i is None:
-            raise missing
-        out.append(Simplex((), SimplexRef(n, base_p + i)))
-    return out
+    # find each image square among Tp's, whose squares are distinct
+    row, there = T.squares[n], Tp.squares[n]
+    order, hi, counts = _match(max(len(tgt.cand_a[n - 1]), len(tgt.cand_b[n])),
+                               np.column_stack((there.facets, there.tops)),
+                               np.column_stack((img_a[row.facets], img_b[row.tops])))
+    if not counts.all():
+        raise missing
+    return [Simplex((), SimplexRef(n, base_p + i)) for i in order[hi - 1].tolist()]
 
 
 def _check_tower_map(tm: TowerMap, cap):

@@ -439,12 +439,6 @@ class SquareRow:
         """The lines of squares start..stop-1, which label their cells."""
         return self.table.lines(self.facets[start:stop], self.tops[start:stop])
 
-    @cached_property
-    def index(self):
-        """The position of each square, keyed by its (facets, top)."""
-        return {sq: k for k, sq in enumerate(zip(map(tuple, self.facets.tolist()),
-                                                  self.tops.tolist()))}
-
 
 def square_commutes(sq: AttachmentSquare, p: SimplicialMap) -> bool:
     """Exact commutativity p . attach == disk . (boundary inclusion)."""

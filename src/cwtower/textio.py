@@ -338,7 +338,7 @@ def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
 # ---------------------------------------------------------------------------
 
 def format_square(sq: AttachmentSquare) -> str:
-    """The square's line, its table's ``line``, which is its cell's label."""
+    """The square's line, from its table's ``lines``, which is its cell's label."""
     return sq.table.lines([sq.facets], [sq.top])[0]
 
 
