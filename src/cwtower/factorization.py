@@ -37,8 +37,8 @@ from .homsearch import (
     Budget,
     BudgetExceeded,
     SquareTable,
-    _match,
     enumerate_squares,
+    match_rows,
 )
 from .colimits import attach_cells, stage_zero
 
@@ -217,9 +217,9 @@ def _square_images(n, prev, g, T: Tower, Tp: Tower):
     base_p = Tp.stages[n - 1].count(n)
     # find each image square among Tp's, whose squares are distinct
     row, there = T.squares[n], Tp.squares[n]
-    order, hi, counts = _match(max(len(tgt.cand_a[n - 1]), len(tgt.cand_b[n])),
-                               np.column_stack((there.facets, there.tops)),
-                               np.column_stack((img_a[row.facets], img_b[row.tops])))
+    order, hi, counts = match_rows(max(len(tgt.cand_a[n - 1]), len(tgt.cand_b[n])),
+                                   np.column_stack((there.facets, there.tops)),
+                                   np.column_stack((img_a[row.facets], img_b[row.tops])))
     if not counts.all():
         raise missing
     return [Simplex((), SimplexRef(n, base_p + i)) for i in order[hi - 1].tolist()]

@@ -14,8 +14,9 @@ attaching square is its facets and its disk, ranks into the one
 ``SquareTable`` that all squares of one search share, and the search
 runs on int64 rank arrays: the facets are joined level by level on
 mixed-radix face prefixes (argsort, searchsorted, repeat), the tuples
-are joined the same way with the disks, and one lexsort over the
-gathered attaching maps puts the squares in canonical order.  A key
+are joined the same way with the disks, and one lexsort over keys of
+the attaching maps, weighed per facet, puts the squares in canonical
+order.  A key
 tuple is one int64 only while ``base ** width < KEY_LIMIT`` (checked in
 Python ints), and its rows are numbered by ``np.unique`` otherwise, so
 ranks stay exact.  A search returns one ``SquareRow`` of rank arrays;
@@ -215,7 +216,7 @@ def _codes(base, keys, probes):
     return codes[:len(keys)], codes[len(keys):]
 
 
-def _match(base, keys, probes):
+def match_rows(base, keys, probes):
     """The rows of ``keys`` equal to each row of ``probes`` (entries below
     ``base``): (order, hi, counts), the keys' row numbers sorted stably by
     key, and per probe the end and the length of its run in ``order``."""
@@ -463,9 +464,10 @@ def enumerate_squares(table: SquareTable, budget: Budget | None = None):
       step is one candidate matched to one tuple);
     * each tuple is joined the same way with the disks b whose faces
       (d_0 b .. d_n b) are (p x_0 .. p x_n);
-    * one ``np.lexsort`` over the attaching maps, gathered from the
-      facets' Yoneda rows, puts the squares in the order of (attach, disk)
-      under the canonical map order.
+    * one ``np.lexsort`` over the attaching maps' keys
+      (``SquareTable.attach_keys``, read off the facets' Yoneda rows)
+      puts the squares in the order of (attach, disk) under the
+      canonical map order.
 
     Ranks are in ``simplex_candidates`` order, so they sort like the
     simplices they stand for.  The squares are returned as one
@@ -496,7 +498,7 @@ def enumerate_squares(table: SquareTable, budget: Budget | None = None):
     rows = np.arange(len(faces))[:, None]
     for j in range(1, n + 1):
         probes = faces[rows, j - 1] if n > 1 else rows[:, :0]
-        order, hi, counts = _match(base, faces[:, :j], probes)
+        order, hi, counts = match_rows(base, faces[:, :j], probes)
         ends = counts.cumsum()
         charge(ends)
         hits = _runs(order, hi, counts, ends)
@@ -505,5 +507,5 @@ def enumerate_squares(table: SquareTable, budget: Budget | None = None):
 
     if len(rows):  # no plan is made for a stage without squares (its n may be large)
         rows = rows[np.lexsort(table.attach_keys(rows)[::-1])]
-    order, hi, counts = _match(len(table.cand_b[n - 1]), table.faces_b[n], table.p_top[rows])
+    order, hi, counts = match_rows(len(table.cand_b[n - 1]), table.faces_b[n], table.p_top[rows])
     return SquareRow(table, rows.repeat(counts, axis=0), _runs(order, hi, counts, counts.cumsum()))
