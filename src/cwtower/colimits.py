@@ -7,15 +7,13 @@ generators, in row order, so the construction is deterministic, stage
 subsets are literal index ranges, and every stage inclusion is
 ``core.inclusion``, read off the two stages.  The squares are one
 ``SquareRow``: the facets and disks of each square, ranks in the
-``SquareTable`` of (n, p), and the commutativity check, the new faces
-and the labels all read those ranks.
-The stage it returns is checked from its new cells, on ranks, only when
-``chain_complex`` asks for its validity.
+``SquareTable`` of (n, p), and the checks, the new faces and the labels
+all read those ranks.  A stage is checked once, where its cells are
+glued: glued onto a valid set, it is valid, and its ``checked_report``
+is set to ``()`` without the full walk.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -38,17 +36,17 @@ def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
     after its generators, and p2 is p with the new cells' disks appended.
     Square k is its facets (x_0 .. x_n) and its disk b, ranks in the
     row's table, which is checked once to be over (n, p).  Every square is
-    checked to commute on the rank arrays, the one condition its ranks do
-    not give by construction: the faces of b are p(x_0) .. p(x_n).  The
-    new cell's faces are x_0 .. x_n, and its label, the square's line, is
-    made only when it is read (a ``LabelRow`` over the row's ``lines``).
+    checked on the rank arrays for the two conditions its ranks do not
+    give by construction: it commutes (the faces of b are p(x_0) ..
+    p(x_n)), and its facets fit together, d_i x_j = d_{j-1} x_i for i < j,
+    which makes the new cell a simplex of X2.  A failure is refused by
+    name: the first square, in row order, that breaks the first condition
+    or identity to fail.  The new cell's faces are x_0 .. x_n, and its
+    label, the square's line, is made only when it is read (a ``LabelRow``
+    over the row's ``lines``).
 
-    X2 is not validated here.  It gets a deferred check (``defer_report``)
-    that ``chain_complex`` runs: X's report must be clean, and every new
-    cell must satisfy d_i x_j = d_{j-1} x_i for i < j, compared as ranks
-    in the table's face table; if either fails, the full ``validate`` walk
-    of X2 gives the report, so verdicts and messages are those of
-    ``validate``.
+    So X2 is valid when X is: its ``checked_report`` is then ``()`` at
+    once, and else the full ``validate`` walk of X2.
     """
     if not squares:
         return X, p
@@ -65,27 +63,21 @@ def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
     if wrong.any():
         k = int(wrong.any(axis=1).argmax())
         raise ValidationError(f"square {k}: attaching square does not commute")
+    ranks = table.faces_a[n - 1]  # a 1-cell's facets are vertices: nothing to fit
+    for j in range(1, n + 1) if n > 1 else ():
+        for i in range(j):  # one pair at a time: two row-long temporaries
+            wrong = ranks[:, i][facets[:, j]] != ranks[:, j - 1][facets[:, i]]
+            if wrong.any():
+                raise ValidationError(
+                    f"square {int(wrong.argmax())}: d_{i} x_{j} != d_{j - 1} x_{i}")
     # facet j is the image of d_j, so it is face j of the new cell
     faces = list(map(tuple, np.array(table.cand_a[n - 1], dtype=object)[facets].tolist()))
     X2 = with_generators(X, n, faces, squares.lines)
-    X2.defer_report(partial(_attached_report, X, table.faces_a[n - 1], facets))
+    if not X.checked_report:
+        vars(X2)["checked_report"] = ()
     disks = table.cand_b[n]
     p2 = SimplicialMap(X2, p.cod, appended(p.assign, n, map(disks.__getitem__, tops.tolist())))
     return X2, p2
-
-
-def _attached_report(X, faces, cells, X2):
-    """``validate``'s report of X2, which is X plus one cell per facet row
-    of ``cells``: empty when X is clean and every row satisfies the
-    simplicial identities d_i x_j = d_{j-1} x_i (i < j) on the rank face
-    table ``faces``, else the full walk of X2.  The faces of an old
-    simplex are the same in X and X2."""
-    if not X.checked_report:
-        n = cells.shape[1] - 1  # a 1-cell's faces are vertices: no identity to check
-        if n < 2 or all(np.array_equal(faces[cells[:, j], i], faces[cells[:, i], j - 1])
-                        for j in range(1, n + 1) for i in range(j)):
-            return ()
-    return X2.validation_report
 
 
 def stage_zero(f: SimplicialMap):
@@ -93,11 +85,14 @@ def stage_zero(f: SimplicialMap):
 
     Maps of a point into B are exactly the vertices of B, so stage 0
     adjoins one labeled vertex per vertex of B.  A tower only appends, so
-    these come after A's generators.  Returns (A0, p0).
+    these come after A's generators, and A0 is valid when A is.  Returns
+    (A0, p0).
     """
     nb = f.cod.count(0)
     A0 = with_generators(f.dom, 0, [()] * nb,
                          lambda start, stop: [f"point->{b}" for b in range(start, stop)])
+    if not f.dom.checked_report:
+        vars(A0)["checked_report"] = ()
     p0 = SimplicialMap(A0, f.cod, appended(
         f.assign, 0, [Simplex((), SimplexRef(0, b)) for b in range(nb)]))
     return A0, p0

@@ -180,17 +180,10 @@ class SimplicialSet:
 
     @cached_property
     def checked_report(self):
-        """``validation_report``, read off a deferred check if one was left
-        by ``defer_report``; the check runs here once and is then dropped."""
-        check = self.__dict__.pop("_deferred_check", None)
-        return self.validation_report if check is None else check(self)
-
-    def defer_report(self, check):
-        """Have ``check(self)`` compute ``checked_report`` in place of the
-        full walk.  It must return exactly ``validation_report``, and it
-        must take the set as its argument rather than hold it, so that it
-        makes no reference cycle while it waits."""
-        self.__dict__["_deferred_check"] = check
+        """``validation_report``, unless gluing set it: ``attach_cells`` and
+        ``stage_zero`` set ``()`` on a stage glued onto a valid set, whose
+        new cells they checked."""
+        return self.validation_report
 
 
 class LabelRow:
@@ -263,8 +256,8 @@ def validate(X: SimplicialSet):
     Returns a list of human-readable strings; empty iff X is well formed.
     This is the full walk over every generator, the exact reference; it
     runs once per object, and later calls read its cached report.  A
-    stage built by ``attach_cells`` is checked instead from its new cells
-    when ``chain_complex`` reads its ``checked_report``.
+    stage glued by ``attach_cells`` was checked where its cells were
+    glued, so its ``checked_report`` needs no walk.
     """
     return list(X.validation_report)
 

@@ -343,9 +343,10 @@ class ChainComplex:
 def chain_complex(X: SimplicialSet) -> ChainComplex:
     """The normalized chain complex of X, which must be valid.
 
-    Validity is ``X.checked_report``: the ``validate`` report, which a
-    stage built by ``attach_cells`` gives from its new cells (falling back
-    to the full walk), and any other set from the full walk.
+    Validity is ``X.checked_report``: empty for a stage that
+    ``attach_cells`` glued onto a valid set, else the full ``validate``
+    walk.  A valid set's boundary squares to zero, so that is not checked
+    again here.
     """
     errs = X.checked_report
     if errs:
@@ -365,12 +366,7 @@ def chain_complex(X: SimplicialSet) -> ChainComplex:
                         del col[k]
             level.append(col)
         columns.append(tuple(level))
-    cc = ChainComplex(tuple(X.counts), tuple(columns))
-    for n in range(2, len(X.counts)):
-        lower = cc.columns[n - 2]
-        if any(_apply(lower, col) for col in cc.columns[n - 1]):
-            raise ValidationError(f"boundary squared is nonzero in degree {n}")
-    return cc
+    return ChainComplex(tuple(X.counts), tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -403,13 +399,8 @@ def homology_of_complex(cc: ChainComplex, i) -> HomologyGroup:
 
 
 def homology_groups(cc: ChainComplex):
-    """H_0 .. H_top of a complex, checked against its Euler characteristic."""
-    groups = [homology_of_complex(cc, i) for i in range(max(len(cc.ranks), 1))]
-    chi = sum((-1) ** i * r for i, r in enumerate(cc.ranks))
-    if chi != sum((-1) ** H.dim * H.betti for H in groups):
-        raise AssertionError(f"Betti numbers {[H.betti for H in groups]} do not"
-                             f" sum to the Euler characteristic {chi}")
-    return groups
+    """H_0 .. H_top of a complex."""
+    return [homology_of_complex(cc, i) for i in range(max(len(cc.ranks), 1))]
 
 
 def _presentation(cc: ChainComplex, i):

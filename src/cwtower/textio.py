@@ -1,6 +1,7 @@
 """Textual formats: simplicial sets, maps, squares, and tower directories.
 
-Grammar (version ``v1``), one declaration per line, ``#`` starts a comment:
+Grammar (version ``v1``), one declaration per line; ``#`` outside a
+quoted label starts a comment, which runs to the end of the line:
 
     sset v1
     dims <D>
@@ -118,11 +119,9 @@ def _split_tokens(text, line=None):
                 raise ParseError("unterminated simplex token", line)
             tokens.append(("simplex", text[i:j + 1]))
             i = j + 1
-        elif c == "#":
-            break
         else:
             j = i
-            while j < n and not text[j].isspace() and text[j] not in '("#':
+            while j < n and not text[j].isspace() and text[j] not in '("':
                 j += 1
             tokens.append(("word", text[i:j]))
             i = j
@@ -174,11 +173,19 @@ def format_sset(X: SimplicialSet) -> str:
     return "".join(_sset_chunks(X.counts, _gen_lines(X)))
 
 
+# A line's text up to its first ``#`` outside a quoted label
+_UNTIL_COMMENT_RE = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*', re.DOTALL)
+
+
 def _numbered_lines(text):
+    """(number, text) of each line that holds more than a comment, without
+    its comment.  A line with an unterminated label is kept whole, for
+    ``_split_tokens`` to refuse."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0] if '"' not in raw else raw
-        if stripped.strip():
-            yield no, raw
+        end = _UNTIL_COMMENT_RE.match(raw).end() if "#" in raw else len(raw)
+        line = raw[:end] if raw.startswith("#", end) else raw
+        if line.strip():
+            yield no, line
 
 
 def _is_count(token):

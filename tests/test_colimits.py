@@ -27,8 +27,9 @@ from cwtower import (
     standard_simplex,
     validate,
 )
+from cwtower import core
 from cwtower.core import LabelRow, Simplex, SimplexRef, SimplicialMap, boundary_inclusion
-from cwtower.core import inclusion
+from cwtower.core import appended, inclusion, with_generators
 from cwtower.homsearch import SquareRow, SquareTable
 
 from util import assert_stage_glues_oracle, oracle_enumerate_squares, oracle_square_line
@@ -133,16 +134,26 @@ class TestAttachCells:
 
 
 def full_walk(X):
-    """``validate`` of a fresh copy of X, which carries no deferred check."""
+    """``validate`` of a fresh copy of X, which carries no report set by gluing."""
     return validate(SimplicialSet(X.counts, X.faces, X.labels))
 
 
-def broken_point_stage():
-    """Stage 3 of the point tower glued from one square whose facets break
-    d_i x_j = d_{j-1} x_i; attach_cells accepts it, since its disk commutes."""
+def broken_point_row():
+    """Stage 2 of the point tower, its projection, and a row of one square
+    over it whose disk commutes but whose facets break d_i x_j = d_{j-1} x_i."""
     T = cw_tower(standard_simplex(0), 2)
-    row = SquareRow(SquareTable(3, T.projections[2]), [(0, 0, 0, 1)], [0])
-    return attach_cells(T.stages[2], row, T.projections[2])
+    p = T.projections[2]
+    return T.stages[2], SquareRow(SquareTable(3, p), [(0, 0, 0, 1)], [0]), p
+
+
+def glued_unchecked(X, row, p):
+    """The stage and projection that gluing the row's cells onto X gives,
+    made without ``attach_cells``, so the facets are not checked."""
+    table, n = row.table, row.table.n
+    faces = [tuple(map(table.cand_a[n - 1].__getitem__, fs)) for fs in row.facets.tolist()]
+    X2 = with_generators(X, n, faces, row.lines)
+    disks = map(table.cand_b[n].__getitem__, row.tops.tolist())
+    return X2, SimplicialMap(X2, p.cod, appended(p.assign, n, disks))
 
 
 class TestStageReport:
@@ -150,36 +161,40 @@ class TestStageReport:
     @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
                                    boundary_simplex(2), standard_simplex(2)],
                              ids=["point", "interval", "circle", "disk"])
-    def test_equals_the_full_walk_cap_3(self, B, variant):
+    def test_equals_the_full_walk_cap_3(self, B, variant, monkeypatch):
+        walked, walk = [], core._validation_report
+        monkeypatch.setattr(core, "_validation_report", lambda X: walked.append(X) or walk(X))
         T = cw_tower(B, 3, variant)
-        # nothing is checked while the tower is built
-        assert not any("checked_report" in vars(X) for X in T.stages)
-        for n in range(4):
-            X = T.stages[n]
-            assert X.checked_report == ()
-            # stages 1..3 are read off their new cells, without the full walk,
-            # and their deferred check is dropped once it has run
-            assert ("validation_report" in vars(X)) == (n == 0)
-            assert "_deferred_check" not in vars(X)
+        for X in T.stages:
+            chain_complex(X)
+        # every stage was checked where it was glued, none by the full walk
+        assert {id(X) for X in walked}.isdisjoint(map(id, T.stages))
+        assert all(X.checked_report == () for X in T.stages)
+        monkeypatch.undo()
+        for X in T.stages:
             assert validate(X) == [] == full_walk(X)
 
-    def test_failed_identity_falls_back_to_the_full_walk(self):
-        X3 = broken_point_stage()[0]
-        want = full_walk(X3)
-        assert want and want[0].startswith("generator 3:0: d_0 d_3 != d_2 d_0")
-        assert list(X3.checked_report) == want == validate(X3)
-        message = "invalid simplicial set: " + "; ".join(want[:4])
+    def test_failed_identity_is_refused(self):
+        X, row, p = broken_point_row()
         with pytest.raises(ValidationError) as err:
-            chain_complex(X3)
-        assert str(err.value) == message
-        with pytest.raises(ValidationError) as ref:
-            chain_complex(SimplicialSet(X3.counts, X3.faces, X3.labels))
-        assert str(ref.value) == message
+            attach_cells(X, row, p)
+        assert str(err.value) == "square 0: d_0 x_3 != d_2 x_0"
+        # the full walk of the glued set finds the same pair
+        walk = full_walk(glued_unchecked(X, row, p)[0])
+        assert walk[0].startswith("generator 3:0: d_0 d_3 != d_2 d_0")
+        good = enumerate_squares(row.table)[0]
+        row = SquareRow(row.table, [good.facets, row.facets[0]], [good.top, row.tops[0]])
+        with pytest.raises(ValidationError, match=r"^square 1: d_0 x_3 != d_2 x_0$"):
+            attach_cells(X, row, p)
 
     def test_unclean_previous_stage_falls_back_to_the_full_walk(self):
-        X3, p3 = broken_point_stage()
+        X3, p3 = glued_unchecked(*broken_point_row())
         X4, _ = attach_cells(X3, enumerate_squares(SquareTable(4, p3))[:5], p3)
-        assert list(X4.checked_report) == full_walk(X4) == validate(X4) != []
+        want = full_walk(X4)
+        assert want and list(X4.checked_report) == want == validate(X4)
+        with pytest.raises(ValidationError) as err:
+            chain_complex(X4)
+        assert str(err.value) == "invalid simplicial set: " + "; ".join(want[:4])
 
     def test_no_reference_cycle(self):
         enabled = gc.isenabled()
@@ -188,11 +203,9 @@ class TestStageReport:
             T = cw_tower(boundary_simplex(2), 2)
             kept = weakref.ref(T.stages[2])
             below = weakref.ref(T.stages[1])
-            assert kept().checked_report == ()  # runs stage 1's check, then stage 2's
+            assert kept().checked_report == ()  # set where it was glued
             del T
             assert kept() is None and below() is None
-            pending = weakref.ref(broken_point_stage()[0])  # its check never ran
-            assert pending() is None
         finally:
             if enabled:
                 gc.enable()
