@@ -253,7 +253,7 @@ def cmd_verify(args):
         ok = ident.stage_maps == identity_tower_map(T).stage_maps
         report("functor identity-law", ok)
         tm = induced_tower_map(e, g, T, Tp)
-        report("functor naturality", True)  # construction validates exactly
+        report("functor naturality", True)  # the square match proves it or refuses
         if args.then:
             Bpp = _load_sset(args.then[0])
             h = parse_smap(read_text(args.then[1]), Bp, Bpp)

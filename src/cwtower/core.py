@@ -384,8 +384,12 @@ def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
 
 
 def map_errors(f: SimplicialMap):
-    """Face-compatibility violations of f (empty list iff f is a valid map)."""
-    report = []
+    """Face-compatibility violations of f (empty list iff f is a valid map);
+    an invalid domain or codomain is reported instead, and no face is read."""
+    report = [f"{end}: {e}" for end, X in (("domain", f.dom), ("codomain", f.cod))
+              for e in X.checked_report]
+    if report:
+        return report
     for d in range(len(f.dom.counts)):
         for g in range(f.dom.counts[d]):
             img = f.assign[d][g]

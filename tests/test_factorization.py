@@ -32,11 +32,11 @@ from cwtower import (
 from cwtower.core import Simplex, SimplexRef, SimplicialMap
 from cwtower.cli import main
 from cwtower.core import map_errors
-from cwtower.factorization import _check_tower_map
 from cwtower.factorization import is_cellular
 from cwtower.homsearch import AttachmentSquare
 
-from util import is_cellular_map, is_simplicial_subset, oracle_induced_stage_maps
+from util import check_tower_map, is_cellular_map, is_simplicial_subset
+from util import oracle_induced_stage_maps
 from util import random_one_dim_target
 from util import vertex_with_loop
 
@@ -183,11 +183,22 @@ class TestFunctorLaws:
                 assert tm.stage_maps[n] == ident.stage_maps[n]
 
     def test_induced_maps_valid_on_corpus(self):
-        for g in self.corpus():
-            T = cw_tower(g.dom, 2)
-            Tp = cw_tower(g.cod, 2)
-            tm = induced_tower_map(empty_map(SimplicialSet.empty()), g, T, Tp)
-            assert len(tm.stage_maps) == 3
+        # every stage map passes the cell-by-cell walk and map_errors: the
+        # corpus, a nonempty domain, and the maps of the intersection suite
+        # for the circle's two edges at vertex 1 (members, then the total)
+        e, D1, B2 = empty_map(SimplicialSet.empty()), standard_simplex(1), boundary_simplex(2)
+        cases = [(e, g, empty_map(g.dom), empty_map(g.cod)) for g in self.corpus()]
+        cases.append((identity_map(D1), collapse_to_point(D1), identity_map(D1),
+                      collapse_to_point(D1)))
+        for gens in (EDGE01, EDGE12, {R(0, 1)}):
+            incl = subcomplex(B2, gens)[1]
+            cases.append((e, incl, empty_map(incl.dom), empty_map(B2)))
+        for f, g, base, base_p in cases:
+            tm = induced_tower_map(f, g, build_tower(base, 3), build_tower(base_p, 3))
+            assert len(tm.stage_maps) == 4
+            check_tower_map(tm, 3)
+            for n, fn in enumerate(tm.stage_maps):
+                assert map_errors(fn) == [], n
 
     def test_composition_law(self):
         B2 = boundary_simplex(2)
@@ -389,7 +400,7 @@ def with_stage_map(tm, n, edit):
 class TestTowerMapCheck:
     def test_identity_passes(self):
         T = cw_tower(standard_simplex(0), 2)
-        _check_tower_map(identity_tower_map(T), 2)
+        check_tower_map(identity_tower_map(T), 2)
 
     def test_swapped_cells_rejected(self):
         # 2-cells 0 and 1 of the point tower lie over the same disk, but
@@ -403,7 +414,7 @@ class TestTowerMapCheck:
         bad = with_stage_map(tm, 2, swap)
         assert map_errors(bad.stage_maps[2])
         with pytest.raises(ValidationError, match="stage 2: induced map is not simplicial"):
-            _check_tower_map(bad, 2)
+            check_tower_map(bad, 2)
 
     def test_cell_over_another_disk_rejected(self):
         # over a vertex with a loop, the constant attaching map bounds two
@@ -422,7 +433,7 @@ class TestTowerMapCheck:
         bad = with_stage_map(tm, 1, over_other_disk)
         assert not map_errors(bad.stage_maps[1])
         with pytest.raises(ValidationError, match="stage 1: .* with the projections"):
-            _check_tower_map(bad, 1)
+            check_tower_map(bad, 1)
 
     def test_old_cell_moved_in_a_later_stage_rejected(self):
         # stage 2 sends the point tower's 1-cell, which stage 1 fixes, to the
@@ -434,7 +445,7 @@ class TestTowerMapCheck:
         tm.stage_maps[2] = SimplicialMap(f2.dom, f2.cod, tuple(rows))
         with pytest.raises(ValidationError, match="stage 2: induced map does not commute"
                            " with the stage inclusions"):
-            _check_tower_map(tm, 2)
+            check_tower_map(tm, 2)
 
     def test_cell_sent_outside_the_stage_rejected(self):
         T = cw_tower(standard_simplex(0), 1)
@@ -443,7 +454,7 @@ class TestTowerMapCheck:
             row[0] = Simplex((), SimplexRef(1, 99))
 
         with pytest.raises(ValidationError, match="stage 1: image of cell 1:0"):
-            _check_tower_map(with_stage_map(identity_tower_map(T), 1, away), 1)
+            check_tower_map(with_stage_map(identity_tower_map(T), 1, away), 1)
 
     def test_square_map_not_simplicial_rejected(self):
         # f sends the interval's edge to a degenerate edge on vertex 0, so
@@ -456,6 +467,59 @@ class TestTowerMapCheck:
         T = build_tower(to_pt, 1)
         with pytest.raises(ValidationError, match="invalid square map"):
             induced_tower_map(f, identity_map(pt), T, T)
+
+
+class TestSquareMatchRefusals:
+    """``induced_tower_map`` refuses what its square match cannot place."""
+
+    def refusal(self, row):
+        T = cw_tower(boundary_simplex(2), 2)
+        Tp = dataclasses.replace(T, squares=[*T.squares[:2], row(T)])
+        with pytest.raises(ValidationError) as err:
+            induced_tower_map(empty_map(SimplicialSet.empty()), identity_map(T.B), T, Tp)
+        return str(err.value)
+
+    def test_image_square_missing(self):
+        assert self.refusal(lambda T: T.squares[2][1:]) == \
+            "stage 2: image square not found in target tower (towers are inconsistent)"
+
+    def test_row_over_another_projection(self):
+        assert self.refusal(lambda T: cw_tower(standard_simplex(2), 2).squares[2]) == \
+            "stage 2: squares are not over the stage projection"
+
+
+class TestDanglingFace:
+    """A map whose domain or codomain has a dangling face is refused with
+    that set's report, before any face is read."""
+
+    REPORT = "generator 1:0 face 1: dangling generator reference 0:5"
+
+    def sets(self):
+        v = [Simplex((), R(0, i)) for i in range(2)]
+        bad = SimplicialSet.build([2, 1], [[(), ()], [(v[1], Simplex((), R(0, 5)))]])
+        pt = standard_simplex(0)
+        assert validate(bad) == [self.REPORT]
+        return bad, pt, SimplicialMap(bad, pt, ((v[0], v[0]), (Simplex((0,), R(0, 0)),)))
+
+    def test_domain(self):
+        bad, pt, f = self.sets()
+        assert map_errors(f) == [f"domain: {self.REPORT}"]
+        with pytest.raises(ValidationError, match=f"^invalid input map: domain: {self.REPORT}$"):
+            build_tower(f, 1)
+        T = dataclasses.replace(cw_tower(pt, 1), B=bad)
+        with pytest.raises(ValidationError, match=f"^invalid square map: domain: {self.REPORT}$"):
+            induced_tower_map(empty_map(SimplicialSet.empty()), f, T, cw_tower(pt, 1))
+
+    def test_codomain(self):
+        bad, pt, _ = self.sets()
+        g = SimplicialMap(pt, bad, ((Simplex((), R(0, 0)),),))
+        assert map_errors(g) == [f"codomain: {self.REPORT}"]
+        with pytest.raises(ValidationError, match=f"^invalid input map: codomain: {self.REPORT}$"):
+            cw_tower(bad, 1)
+        Tp = dataclasses.replace(cw_tower(pt, 1), B=bad)
+        with pytest.raises(ValidationError, match=f"^invalid square map: codomain: {self.REPORT}$"):
+            induced_tower_map(empty_map(SimplicialSet.empty()), g, cw_tower(pt, 1), Tp)
+
 
 class TestNoPerSquareMaps:
     """Builds and induced maps work on facets and disks: no square builds

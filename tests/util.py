@@ -11,6 +11,7 @@ from cwtower import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
+    ValidationError,
     boundary_inclusion,
     boundary_simplex,
     compose,
@@ -18,7 +19,7 @@ from cwtower import (
     map_errors,
     standard_simplex,
 )
-from cwtower.core import subset_witness
+from cwtower.core import face, simplex_errors, subset_witness
 from cwtower.homology import (
     _apply,
     _chain_map_columns,
@@ -122,6 +123,45 @@ def oracle_induced_stage_maps(f, g, T, Tp):
             table[n].append(Simplex((), SimplexRef(n, base + index_of[key])))
         stage_maps.append(SimplicialMap(T.stages[n], Tp.stages[n], tuple(map(tuple, table))))
     return stage_maps
+
+
+def check_tower_map(tm, cap):
+    """Check the stage maps of ``tm`` through ``cap`` cell by cell: the
+    reference for the square match of ``induced_tower_map``.
+
+    The map f_n of stage n must restrict to f_{n-1} (to f for n = 0)
+    through the two towers' inclusions.  A tower only appends, so both
+    inclusions send a generator to the one of the same index, and the
+    restriction holds exactly when each row of f_n begins with the row of
+    f_{n-1}.  On each cell c that stage n appends, f_n must be simplicial,
+    f_n(d_i c) = d_i f_n(c), and commute with the projections,
+    p'_n(f_n c) = g(p_n c).  The older cells are covered by the previous
+    stage.  Raises ``ValidationError`` naming the first cell that fails.
+    """
+    T, Tp, g = tm.source, tm.target, tm.g
+    for n in range(cap + 1):
+        fn, X, Xp = tm.stage_maps[n], T.stages[n], Tp.stages[n]
+        if fn.dom != X or fn.cod != Xp:
+            raise ValidationError(f"stage {n}: induced map does not run between"
+                                  " the stages")
+        fa, prev = fn.assign, (tm.f if n == 0 else tm.stage_maps[n - 1]).assign
+        if any(row is not old and row[:len(old)] != old for row, old in zip(fa, prev)):
+            raise ValidationError(f"stage {n}: induced map does not commute"
+                                  " with the stage inclusions")
+        p, pp = T.projections[n], Tp.projections[n]
+        for d, count in enumerate(X.counts):
+            for c in range(len(prev[d]) if d < len(prev) else 0, count):
+                y = fa[d][c]
+                errs = simplex_errors(Xp, y, d)
+                if errs:
+                    raise ValidationError(f"stage {n}: image of cell {d}:{c}: {errs[0]}")
+                if pp(y) != g(p.assign[d][c]):
+                    raise ValidationError(f"stage {n}: induced map does not commute"
+                                          " with the projections")
+                for i, s in enumerate(X.faces[d][c]):
+                    if fn(s) != face(Xp, y, i):
+                        raise ValidationError(f"stage {n}: induced map is not simplicial"
+                                              f" at d_{i} of cell {d}:{c}")
 
 
 def random_one_dim_target(rng, max_gens=4):
