@@ -26,7 +26,7 @@ print("exit code:", code)
 # the directory round-trips to an identical tower
 tower = load_tower(work / "tower")
 print()
-print("reloaded tower: cap", tower.cap, "variant", tower.variant)
+print("reloaded tower: cap", tower.cap)
 print("growth table:", (work / "tower" / "growth.csv").read_text().split())
 
 # homology straight from the serialized tower

@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from functools import cache
 
 from .core import (
-    SimplexRef,
     SimplicialSet,
     ValidationError,
     compose,
@@ -37,7 +36,6 @@ from .core import (
 )
 from .homsearch import DEFAULT_BUDGET, BudgetExceeded
 from .factorization import (
-    VARIANTS,
     build_tower,
     check_intersection,
     check_subcomplex,
@@ -45,7 +43,6 @@ from .factorization import (
     cw_tower,
     identity_tower_map,
     induced_tower_map,
-    is_cellular,
 )
 from .homology import (
     chain_complex,
@@ -57,11 +54,11 @@ from .textio import (
     ParseError,
     growth_csv,
     load_tower,
+    parse_gen_id,
     parse_smap,
     parse_sset,
     read_text,
     save_tower,
-    tower_meta,
 )
 
 EXIT_OK = 0
@@ -126,7 +123,7 @@ def cmd_build(args):
         f = parse_smap(read_text(args.map), _load_sset(args.domain), B)
     else:
         f = empty_map(B)
-    tower = build_tower(f, args.max_dim, args.variant, _budget(args.budget, args.max_dim))
+    tower = build_tower(f, args.max_dim, budget=_budget(args.budget, args.max_dim))
     with _writing(args.out):
         save_tower(tower, args.out)
         if args.dot:
@@ -175,14 +172,7 @@ def _parse_family(text):
         parts = line.split()
         if parts[0] != "subset":
             raise ParseError("family lines start with 'subset'", no)
-        gens = set()
-        for tok in parts[1:]:
-            try:
-                d, i = tok.split(":")
-                gens.add(SimplexRef(int(d), int(i)))
-            except (ValueError, ValidationError):
-                raise ParseError(f"bad generator id {tok!r}", no)
-        family.append(gens)
+        family.append({parse_gen_id(tok, no) for tok in parts[1:]})
     if not family:
         raise ParseError("family file lists no subsets")
     return family
@@ -223,7 +213,7 @@ def cmd_verify(args):
         tower = cw_tower(B, args.max_dim, budget=budget)
         same = True
         for n in range(args.max_dim + 1):
-            same = same and (n == 0 or is_cellular(tower.squares[n]))
+            same = same and (n == 0 or tower.squares[n].table.cellular)
             report(f"variant-coincidence stage={n}", same)
 
     elif args.suite == "connectivity":
@@ -290,12 +280,7 @@ def cmd_homology(args):
     if args.degree is not None and args.degree < 0:
         raise ParseError(f"--degree {args.degree} must be >= 0")
     if os.path.isdir(args.input):
-        meta = tower_meta(args.input)
-        _, cap, _ = meta
-        stage = cap if args.stage is None else args.stage
-        if not 0 <= stage <= cap:
-            raise ParseError(f"--stage {stage} is out of range 0..{cap}")
-        X = load_tower(args.input, upto=stage, budget=_budget(), _meta=meta).top
+        X = load_tower(args.input, upto=args.stage, budget=_budget()).top
     elif args.stage is not None:
         raise ParseError("--stage requires a tower directory input")
     else:
@@ -334,7 +319,6 @@ def make_parser():
     b.add_argument("--domain", help="domain simplicial set (default: empty)")
     b.add_argument("--map", help="input map domain -> target (.smap)")
     b.add_argument("--max-dim", "-N", type=int, default=2)
-    b.add_argument("--variant", choices=VARIANTS, default="all-maps")
     b.add_argument("--budget", type=int, default=None)
     b.add_argument("--out", required=True, help="output tower directory")
     b.add_argument("--dot", action="store_true",

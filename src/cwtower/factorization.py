@@ -39,8 +39,6 @@ from .homsearch import (
 )
 from .colimits import attach_cells, stage_zero
 
-VARIANTS = ("all-maps", "cellular")
-
 
 @dataclass
 class Tower:
@@ -62,7 +60,6 @@ class Tower:
     B: SimplicialSet
     f: SimplicialMap
     cap: int
-    variant: str
     stages: list
     projections: list
     squares: list = field(compare=False)
@@ -78,35 +75,22 @@ class Tower:
         return [inclusion(X, Y) for X, Y in zip([self.A, *self.stages], self.stages)]
 
 
-def is_cellular(squares) -> bool:
-    """True iff every attaching map of ``squares`` (a square or a row of
-    them) carries each k-skeleton into the k-skeleton, as read off the
-    dimensions of their table's candidates, without building a map.
-
-    In the simplicial model the image of a k-generator has total
-    dimension k, so this holds for every simplicial map; the check is
-    kept executable so the variant coincidence is observable.
-    """
-    return squares.table.cellular
-
-
-def build_tower(f: SimplicialMap, cap, variant="all-maps", budget=DEFAULT_BUDGET) -> Tower:
+def build_tower(f: SimplicialMap, cap, *, budget=DEFAULT_BUDGET) -> Tower:
     """Run the staged construction of f: A -> B up to dimension ``cap``.
 
     ``budget`` bounds the join steps of the square search over all
     stages together; exceeding it raises ``BudgetExceeded``.  Every
-    square is cellular, so ``cellular`` builds the same tower and asserts it.
+    attaching map is cellular (``SquareTable.cellular``), so a construction
+    that attached only cellular squares would build this same tower.
     """
-    for tower in tower_stages(f, cap, variant, budget):
+    for tower in tower_stages(f, cap, budget=budget):
         pass
     return tower
 
 
-def tower_stages(f: SimplicialMap, cap, variant="all-maps", budget=DEFAULT_BUDGET):
+def tower_stages(f: SimplicialMap, cap, *, budget=DEFAULT_BUDGET):
     """``build_tower`` one stage at a time: yields the tower truncated at n
     for n = 0..cap, building stage n only when it is asked for."""
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}")
     if cap < 0:
         raise ValidationError("cap must be >= 0")
     errs = map_errors(f)
@@ -125,19 +109,17 @@ def tower_stages(f: SimplicialMap, cap, variant="all-maps", budget=DEFAULT_BUDGE
                 cells = stages[-1].total_generators - f.dom.total_generators
                 raise BudgetExceeded(e.budget, e.used, e.unit,
                                      f"stage {n}, {cells} cells built") from e
-            if variant == "cellular" and not is_cellular(sqs):
-                raise AssertionError(f"stage {n}: an attaching map is not cellular")
             Xn, pn = attach_cells(stages[-1], sqs, projections[-1])
             stages.append(Xn)
             projections.append(pn)
             squares.append(sqs)
-        yield Tower(A=f.dom, B=f.cod, f=f, cap=n, variant=variant, stages=list(stages),
+        yield Tower(A=f.dom, B=f.cod, f=f, cap=n, stages=list(stages),
                     projections=list(projections), squares=list(squares))
 
 
-def cw_tower(B: SimplicialSet, cap, variant="all-maps", budget=DEFAULT_BUDGET) -> Tower:
+def cw_tower(B: SimplicialSet, cap, *, budget=DEFAULT_BUDGET) -> Tower:
     """The tower of the unique map from the empty simplicial set to B."""
-    return build_tower(empty_map(B), cap, variant, budget)
+    return build_tower(empty_map(B), cap, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +164,6 @@ def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -
     - each row of f_n extends that of f_{n-1}: f_n restricts to f_{n-1}.
     The tests keep the cell-by-cell walk as the reference.
     """
-    if T.variant != Tp.variant:
-        raise ValidationError("towers were built with different variants")
     if f.dom != T.A or f.cod != Tp.A or g.dom != T.B or g.cod != Tp.B:
         raise ValidationError("square does not connect the two towers")
     errs = map_errors(f) + map_errors(g)

@@ -307,7 +307,12 @@ class SquareTable:
     def cellular(self):
         """Every candidate of total dimension d lies on a generator of
         dimension at most d, so every map into the stage that the table
-        ranks carries k-skeleta into k-skeleta."""
+        ranks carries k-skeleta into k-skeleta.
+
+        In the simplicial model the image of a k-generator has total
+        dimension k, so this holds for every table; it is kept executable
+        so that the coincidence of the cellular construction with the
+        default one is observable (``verify --suite variant``)."""
         return all(s.gen.dim <= d for d, c in enumerate(self.cand_a) for s in c)
 
     def attach_ranks(self, facets):

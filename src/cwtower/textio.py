@@ -64,7 +64,9 @@ def format_simplex(s: Simplex) -> str:
     return f"({word}|{s.gen.dim}:{s.gen.index})"
 
 
-_SIMPLEX_RE = re.compile(r"^\(\s*((?:s_\d+\s*)*)\|\s*(\d+):(\d+)\s*\)$")
+# re.ASCII throughout: \d also matches digits such as '٠', which int() reads
+_SIMPLEX_RE = re.compile(r"^\(\s*((?:s_\d+\s*)*)\|\s*(\d+):(\d+)\s*\)$", re.ASCII)
+_GEN_ID_RE = re.compile(r"^(\d+):(\d+)$", re.ASCII)
 
 
 def parse_simplex(token, line=None) -> Simplex:
@@ -72,6 +74,14 @@ def parse_simplex(token, line=None) -> Simplex:
         return _simplex_of(token)
     except ValueError as e:
         raise ParseError(str(e), line) from None
+
+
+def parse_gen_id(token, line=None) -> SimplexRef:
+    """The generator ``<d>:<i>`` that ``token`` names, in ASCII digits."""
+    m = _GEN_ID_RE.match(token)
+    if not m:
+        raise ParseError(f"bad generator id {token!r}", line)
+    return SimplexRef(int(m.group(1)), int(m.group(2)))
 
 
 # Tokens repeat across the lines of the .sset and .smap inputs that each
@@ -314,13 +324,9 @@ def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
         if (len(toks) != 4 or toks[0] != ("word", "gen")
                 or toks[2] != ("word", "->") or toks[3][0] != "simplex"):
             raise ParseError("expected 'gen <d>:<i> -> <simplex>'", no)
-        ref_txt = toks[1][1]
-        m = re.match(r"^(\d+):(\d+)$", ref_txt)
-        if not m:
-            raise ParseError(f"bad generator id {ref_txt!r}", no)
-        ref = SimplexRef(int(m.group(1)), int(m.group(2)))
+        ref = parse_gen_id(toks[1][1], no)
         if ref in table:
-            raise ParseError(f"duplicate assignment for {ref_txt}", no)
+            raise ParseError(f"duplicate assignment for {toks[1][1]}", no)
         table[ref] = parse_simplex(toks[3][1], no)
     assign = []
     for d in range(len(dom.counts)):
@@ -349,7 +355,7 @@ def format_square(sq: AttachmentSquare) -> str:
     return sq.table.lines([sq.facets], [sq.top])[0]
 
 
-_SQUARE_RE = re.compile(r"^square n=(\d+) attach\[(.*)\] disk\[(.*)\]$")
+_SQUARE_RE = re.compile(r"^square n=(\d+) attach\[(.*)\] disk\[(.*)\]$", re.ASCII)
 _TOKENS_RE = re.compile(r"\([^)]*\)")
 
 
@@ -400,7 +406,7 @@ def parse_square(line, table: SquareTable, line_no=None) -> AttachmentSquare:
 def tower_files(tower):
     """The files of a tower directory in write order, as (name, chunks of text)."""
     lines = _TowerLines(tower.f)
-    yield from lines.input_files(tower.variant, tower.cap)
+    yield from lines.input_files(tower.cap)
     for n in range(tower.cap + 1):
         yield from lines.stage_files(tower, n)
     yield "growth.csv", (growth_csv(tower),)
@@ -419,8 +425,9 @@ class _TowerLines:
         self.f, self.gens, self.target = f, _gen_lines(f.dom), _gen_lines(f.cod)
         self.proj = _map_lines(f.assign)
 
-    def input_files(self, variant, cap):
-        yield "meta.txt", (f"tower {FORMAT_VERSION}\nvariant {variant}\ncap {cap}\n",)
+    def input_files(self, cap):
+        # the variant line is constant; it stays so that v1 directories keep their bytes
+        yield "meta.txt", (f"tower {FORMAT_VERSION}\nvariant all-maps\ncap {cap}\n",)
         yield "input.sset", _sset_chunks(self.f.dom.counts, self.gens)
         yield "target.sset", _sset_chunks(self.f.cod.counts, self.target)
         yield "input_map.smap", _smap_chunks(self.f.dom.counts, self.proj)
@@ -487,9 +494,8 @@ def read_text(path, what=None):
 
 
 def tower_meta(path):
-    """(variant, cap, text) from a tower directory's ``meta.txt``, checked."""
-    from .factorization import VARIANTS
-
+    """(cap, text) from a tower directory's ``meta.txt``, checked.  There is
+    one construction, so the variant must be ``all-maps``."""
     text = read_text(os.path.join(path, "meta.txt"), "tower file meta.txt")
     meta = {}
     for line in text.splitlines():
@@ -508,12 +514,12 @@ def tower_meta(path):
     if cap < 0:
         raise ParseError(f"meta.txt: cap must be a non-negative integer,"
                          f" got {meta['cap']!r}")
-    if meta["variant"] not in VARIANTS:
+    if meta["variant"] != "all-maps":
         raise ParseError(f"meta.txt: unknown variant {meta['variant']!r}")
-    return meta["variant"], cap, text
+    return cap, text
 
 
-def load_tower(path, upto=None, budget=DEFAULT_BUDGET, *, _meta=None):
+def load_tower(path, upto=None, budget=DEFAULT_BUDGET):
     """Load stages 0..upto (default: all) of a tower directory by replaying it.
 
     A tower is a function of its inputs, so only ``input.sset``,
@@ -522,11 +528,10 @@ def load_tower(path, upto=None, budget=DEFAULT_BUDGET, *, _meta=None):
     files must equal the stored ones byte for byte before the next stage
     is built; the first file that differs is a ParseError.  Stage files
     above ``upto`` are not read.  The tower returned has ``cap == upto``.
-    ``_meta`` is ``tower_meta(path)`` if the caller has read it.
     """
     from .factorization import tower_stages
 
-    variant, cap, meta = _meta or tower_meta(path)
+    cap, meta = tower_meta(path)
     k = cap if upto is None else upto
     if not 0 <= k <= cap:
         raise ParseError(f"stage {k} is out of range 0..{cap}")
@@ -554,8 +559,8 @@ def load_tower(path, upto=None, budget=DEFAULT_BUDGET, *, _meta=None):
     B = parse_sset(texts["target.sset"])
     f = parse_smap(texts["input_map.smap"], A, B)
     lines = _TowerLines(f)
-    check(lines.input_files(variant, cap))
-    for n, tower in enumerate(tower_stages(f, k, variant, budget)):
+    check(lines.input_files(cap))
+    for n, tower in enumerate(tower_stages(f, k, budget=budget)):
         check(lines.stage_files(tower, n))
     # the stored table goes on past k when k < cap
     check([("growth.csv", (growth_csv(tower),))], prefix=k < cap)

@@ -1,11 +1,9 @@
 import pytest
 
-import cwtower.cli
-import cwtower.factorization
+from cwtower.homsearch import SquareTable
 
 
 @pytest.fixture
 def never_cellular(monkeypatch):
-    """Make the cellularity predicate false wherever it is read."""
-    for module in (cwtower.cli, cwtower.factorization):
-        monkeypatch.setattr(module, "is_cellular", lambda f: False)
+    """Make every search table's cellularity predicate false."""
+    monkeypatch.setattr(SquareTable, "cellular", property(lambda table: False))

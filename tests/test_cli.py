@@ -172,6 +172,14 @@ class TestBuild:
         assert "must be a non-negative integer" in one_error_line(capsys)
         assert not (tmp_path / "t").exists()
 
+    def test_variant_flag_refused(self, point_file, tmp_path, capsys):
+        # there is one construction; the variant suite checks the other's claim
+        with pytest.raises(SystemExit) as exc:
+            main(["build", point_file, "--variant", "cellular", "--out", str(tmp_path / "t")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --variant" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     def test_budget_beyond_int64(self, circle_file, tmp_path, monkeypatch):
         # a limit of 10**30 overflows int64: the budget stays a Python int
         huge = str(10**30)
@@ -359,7 +367,7 @@ class TestHomology:
         assert main(["homology", str(t), "--stage", stage]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --stage {stage} is out of range 0..2\n"
+        assert captured.err == f"error: stage {stage} is out of range 0..2\n"
 
     @pytest.mark.parametrize("degree", ["-3", "-1"])
     def test_negative_degree_exit_2(self, circle_file, tmp_path, capsys, degree):
@@ -442,6 +450,19 @@ class TestInputErrors:
                      "line 1: family lines start with 'subset'", id="family-keyword"),
         pytest.param(INTERSECT, "family.txt", "subset 0:0\nsubset 0:x\n",
                      "line 2: bad generator id '0:x'", id="family-generator"),
+        # ids and simplex tokens take ASCII digits only, where int() reads more
+        pytest.param(INTERSECT, "family.txt", "subset 0:0_0 +1:0\n",
+                     "line 1: bad generator id '0:0_0'", id="family-int-spelling"),
+        pytest.param(INTERSECT, "family.txt", "subset 0:0\nsubset 1:0 \u0663:0\n",
+                     "line 2: bad generator id '\u0663:0'", id="family-non-ascii"),
+        pytest.param(["homology", "{tmp}/bad.sset"], "bad.sset",
+                     SSET + "gen 1:0 faces (|0:0) (|\u0660:\u0660)\n",
+                     "line 6: malformed simplex token '(|\u0660:\u0660)'", id="sset-non-ascii"),
+        pytest.param(SMAP_BUILD, "map.smap", "smap v1\ngen \u0660:\u0660 -> (|0:0)\n",
+                     "line 2: bad generator id '\u0660:\u0660'", id="smap-non-ascii"),
+        pytest.param(SMAP_BUILD, "map.smap", "smap v1\ngen 0:0 -> (|\u0660:\u0660)\n",
+                     "line 2: malformed simplex token '(|\u0660:\u0660)'",
+                     id="smap-non-ascii-token"),
         pytest.param(["verify", "--suite", "functor", "{circle}"], None, None,
                      "suite 'functor' needs B.sset B'.sset map.smap", id="suite-inputs"),
         pytest.param(["homology", "{tmp}/bad.sset"], "bad.sset", "# nothing\n",
@@ -580,6 +601,12 @@ class TestTamperedTower:
     def test_unknown_variant(self, circle_tower, capsys):
         (circle_tower / "meta.txt").write_text("tower v1\nvariant bogus\ncap 2\n")
         self.refused(circle_tower, capsys, "unknown variant 'bogus'")
+
+    def test_cellular_directory_refused(self, circle_tower, capsys):
+        # as written by a build with the cellular variant, now gone
+        (circle_tower / "meta.txt").write_text("tower v1\nvariant cellular\ncap 2\n")
+        assert main(["homology", str(circle_tower)]) == 2
+        assert one_error_line(capsys) == "error: meta.txt: unknown variant 'cellular'\n"
 
     def test_cap_beyond_stored_stages(self, circle_tower, capsys, monkeypatch):
         (circle_tower / "meta.txt").write_text("tower v1\nvariant all-maps\ncap 9\n")

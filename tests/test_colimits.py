@@ -157,14 +157,13 @@ def glued_unchecked(X, row, p):
 
 
 class TestStageReport:
-    @pytest.mark.parametrize("variant", ["all-maps", "cellular"])
     @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
                                    boundary_simplex(2), standard_simplex(2)],
                              ids=["point", "interval", "circle", "disk"])
-    def test_equals_the_full_walk_cap_3(self, B, variant, monkeypatch):
+    def test_equals_the_full_walk_cap_3(self, B, monkeypatch):
         walked, walk = [], core._validation_report
         monkeypatch.setattr(core, "_validation_report", lambda X: walked.append(X) or walk(X))
-        T = cw_tower(B, 3, variant)
+        T = cw_tower(B, 3)
         for X in T.stages:
             chain_complex(X)
         # every stage was checked where it was glued, none by the full walk

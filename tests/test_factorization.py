@@ -32,7 +32,6 @@ from cwtower import (
 from cwtower.core import Simplex, SimplexRef, SimplicialMap
 from cwtower.cli import main
 from cwtower.core import map_errors
-from cwtower.factorization import is_cellular
 from cwtower.homsearch import AttachmentSquare
 
 from util import check_tower_map, is_cellular_map, is_simplicial_subset
@@ -110,7 +109,7 @@ class TestBuildTower:
         # the inclusions are fixed by the stages, and comparing them would
         # compare every stage twice more
         def fields(U):
-            return U.A, U.B, U.f, U.cap, U.variant, U.stages, U.projections
+            return U.A, U.B, U.f, U.cap, U.stages, U.projections
 
         assert eq_calls(lambda: T == T2) == eq_calls(lambda: fields(T) == fields(T2))
         assert eq_calls(lambda: T.inclusions == T2.inclusions) > 0
@@ -121,8 +120,15 @@ class TestBuildTower:
         assert dataclasses.replace(T2, projections=T2.projections[:3] + [edited]) != T
 
     def test_bad_variant_rejected(self):
-        with pytest.raises(ValidationError):
-            cw_tower(standard_simplex(0), 1, variant="minimal")
+        # there is one construction, and the budget is keyword-only, so a
+        # variant is refused at the call, not taken for the budget
+        B = standard_simplex(0)
+        for build in (lambda: cw_tower(B, 2, "cellular"),
+                      lambda: build_tower(empty_map(B), 2, "cellular"),
+                      lambda: next(cwtower.factorization.tower_stages(empty_map(B), 2, "cellular")),
+                      lambda: cw_tower(B, 1, variant="minimal")):
+            with pytest.raises(TypeError):
+                build()
 
 
 class TestVariantCoincidence:
@@ -132,19 +138,17 @@ class TestVariantCoincidence:
         lambda: boundary_simplex(2),
     ])
     def test_both_variants_agree(self, build):
-        B = build()
-        assert tower_serial(cw_tower(B, 2, "all-maps")) == \
-            tower_serial(cw_tower(B, 2, "cellular"))
+        # the cellular construction keeps the squares whose attaching map is
+        # cellular: it attaches the same squares when the oracle keeps all
+        T = cw_tower(build(), 2)
+        for row in T.squares[1:]:
+            assert row.table.cellular
+            assert [sq for sq in row if is_cellular_map(sq.attach)] == list(row)
 
     def test_filter_is_identity(self):
         T = cw_tower(standard_simplex(0), 2)
         for n in (1, 2):
             assert all(is_cellular_map(sq.attach) for sq in T.squares[n])
-
-    def test_cellular_build_asserts_every_stage(self, never_cellular):
-        with pytest.raises(AssertionError, match="stage 1"):
-            cw_tower(standard_simplex(0), 2, "cellular")
-        assert cw_tower(standard_simplex(0), 2).stages[2].counts == (1, 1, 8)
 
 
 def collapse_to_point(B):
@@ -264,13 +268,6 @@ class TestFunctorLaws:
         direct = induced_tower_map(e, compose(h, g), T, Tpp)
         assert compose_tower_maps(induced_tower_map(e, h, Tp, Tpp), tm).stage_maps == \
             direct.stage_maps
-
-    def test_variant_mismatch_rejected(self):
-        B = standard_simplex(0)
-        T = cw_tower(B, 1, "all-maps")
-        Tp = cw_tower(B, 1, "cellular")
-        with pytest.raises(ValidationError):
-            induced_tower_map(empty_map(SimplicialSet.empty()), identity_map(B), T, Tp)
 
 
 class TestSubcomplexTheorem:
@@ -533,9 +530,8 @@ class TestNoPerSquareMaps:
         monkeypatch.setattr(AttachmentSquare, "attach", property(refuse))
         monkeypatch.setattr(AttachmentSquare, "disk", property(refuse))
 
-    @pytest.mark.parametrize("variant", ["all-maps", "cellular"])
-    def test_build(self, no_square_maps, variant):
-        T = cw_tower(boundary_simplex(2), 3, variant)
+    def test_build(self, no_square_maps):
+        T = cw_tower(boundary_simplex(2), 3)
         assert [len(s) for s in T.squares] == [0, 6, 36, 1017]
         with pytest.raises(AssertionError, match="built its maps"):
             T.squares[1][0].attach
@@ -565,7 +561,7 @@ class TestNoPerSquareMaps:
     def test_cellular_read_from_the_table(self):
         T = cw_tower(standard_simplex(1), 2)
         for sq in T.squares[2]:
-            assert is_cellular(sq) and "attach" not in vars(sq)
+            assert sq.table.cellular and "attach" not in vars(sq)
             assert is_cellular_map(sq.attach)
 
 
@@ -584,9 +580,8 @@ class TestNoSquareObjects:
         with pytest.raises(AssertionError, match="square object"):
             cw_tower(boundary_simplex(2), 1).squares[1][0]
 
-    @pytest.mark.parametrize("variant", ["all-maps", "cellular"])
-    def test_build_save_and_replay(self, tmp_path, variant):
-        T = cw_tower(boundary_simplex(2), 3, variant)
+    def test_build_save_and_replay(self, tmp_path):
+        T = cw_tower(boundary_simplex(2), 3)
         assert [len(row) for row in T.squares] == [0, 6, 36, 1017]
         save_tower(T, tmp_path / "t")
         assert load_tower(tmp_path / "t") == T

@@ -67,10 +67,9 @@ with open(os.path.join(DATA, "budget_records.json"), encoding="utf-8") as fh:
     BUDGET_RECORDS = json.load(fh)
 
 
-@pytest.mark.parametrize("variant", ["all-maps", "cellular"])
 @pytest.mark.parametrize("name", CORPUS)
-def test_corpus_rows_at_cap_4(name, variant):
-    T = cw_tower(CORPUS[name], 4, variant, budget=10**9)
+def test_corpus_rows_at_cap_4(name):
+    T = cw_tower(CORPUS[name], 4, budget=10**9)
     assert tuple(row_sha256(T.squares[n]) for n in range(1, 5)) == ROWS_CAP4[name]
 
 

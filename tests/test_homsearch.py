@@ -321,12 +321,11 @@ class TestGrowingTable:
     """A tower grows one search table: stage n's table keeps the candidates
     of the table below it and adds only its new top dimensions."""
 
-    @pytest.mark.parametrize("variant", ["all-maps", "cellular"])
     @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
                                    boundary_simplex(2), standard_simplex(2)],
                              ids=["point", "interval", "circle", "disk"])
-    def test_corpus_at_cap_3(self, B, variant):
-        assert_grown_tables_fresh(cw_tower(B, 3, variant))
+    def test_corpus_at_cap_3(self, B):
+        assert_grown_tables_fresh(cw_tower(B, 3))
 
     def test_point_at_cap_4(self):
         assert_grown_tables_fresh(cw_tower(standard_simplex(0), 4, budget=10**9))
