@@ -33,7 +33,7 @@ from cwtower.core import appended, inclusion, with_generators
 from cwtower.homsearch import SquareRow, SquareTable
 
 from util import assert_stage_glues_oracle, oracle_enumerate_squares, oracle_square_line
-from util import is_simplicial_subset, vertex_with_loop
+from util import CONSTRUCTIONS, constructed, is_simplicial_subset, vertex_with_loop
 
 
 def point_projection(X):
@@ -157,13 +157,14 @@ def glued_unchecked(X, row, p):
 
 
 class TestStageReport:
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
     @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
                                    boundary_simplex(2), standard_simplex(2)],
                              ids=["point", "interval", "circle", "disk"])
-    def test_equals_the_full_walk_cap_3(self, B, monkeypatch):
+    def test_equals_the_full_walk_cap_3(self, B, construction, monkeypatch):
         walked, walk = [], core._validation_report
         monkeypatch.setattr(core, "_validation_report", lambda X: walked.append(X) or walk(X))
-        T = cw_tower(B, 3)
+        T = constructed(cw_tower(B, 3), construction)
         for X in T.stages:
             chain_complex(X)
         # every stage was checked where it was glued, none by the full walk

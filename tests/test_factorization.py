@@ -38,6 +38,7 @@ from util import check_tower_map, is_cellular_map, is_simplicial_subset
 from util import oracle_induced_stage_maps
 from util import random_one_dim_target
 from util import vertex_with_loop
+from util import CONSTRUCTIONS, constructed
 
 R = SimplexRef
 EDGE01 = {R(0, 0), R(0, 1), R(1, 0)}
@@ -530,8 +531,9 @@ class TestNoPerSquareMaps:
         monkeypatch.setattr(AttachmentSquare, "attach", property(refuse))
         monkeypatch.setattr(AttachmentSquare, "disk", property(refuse))
 
-    def test_build(self, no_square_maps):
-        T = cw_tower(boundary_simplex(2), 3)
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_build(self, no_square_maps, construction):
+        T = constructed(cw_tower(boundary_simplex(2), 3), construction)
         assert [len(s) for s in T.squares] == [0, 6, 36, 1017]
         with pytest.raises(AssertionError, match="built its maps"):
             T.squares[1][0].attach
@@ -580,8 +582,9 @@ class TestNoSquareObjects:
         with pytest.raises(AssertionError, match="square object"):
             cw_tower(boundary_simplex(2), 1).squares[1][0]
 
-    def test_build_save_and_replay(self, tmp_path):
-        T = cw_tower(boundary_simplex(2), 3)
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_build_save_and_replay(self, tmp_path, construction):
+        T = constructed(cw_tower(boundary_simplex(2), 3), construction)
         assert [len(row) for row in T.squares] == [0, 6, 36, 1017]
         save_tower(T, tmp_path / "t")
         assert load_tower(tmp_path / "t") == T

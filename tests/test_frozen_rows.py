@@ -19,7 +19,7 @@ from cwtower import boundary_simplex, cw_tower, parse_sset, standard_simplex
 from cwtower.homsearch import Budget, BudgetExceeded, SquareTable, enumerate_squares
 from cwtower.textio import read_text
 
-from util import row_sha256
+from util import CONSTRUCTIONS, constructed, row_sha256
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -67,9 +67,10 @@ with open(os.path.join(DATA, "budget_records.json"), encoding="utf-8") as fh:
     BUDGET_RECORDS = json.load(fh)
 
 
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
 @pytest.mark.parametrize("name", CORPUS)
-def test_corpus_rows_at_cap_4(name):
-    T = cw_tower(CORPUS[name], 4, budget=10**9)
+def test_corpus_rows_at_cap_4(name, construction):
+    T = constructed(cw_tower(CORPUS[name], 4, budget=10**9), construction)
     assert tuple(row_sha256(T.squares[n]) for n in range(1, 5)) == ROWS_CAP4[name]
 
 

@@ -30,8 +30,10 @@ from cwtower.homsearch import Budget, BudgetExceeded, SquareRow, SquareTable
 from cwtower.homsearch import simplex_candidates
 
 from util import (
+    CONSTRUCTIONS,
     SEED,
     assert_stage_glues_oracle,
+    constructed,
     oracle_enumerate_maps,
     oracle_enumerate_squares,
     oracle_square_line,
@@ -321,11 +323,12 @@ class TestGrowingTable:
     """A tower grows one search table: stage n's table keeps the candidates
     of the table below it and adds only its new top dimensions."""
 
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
     @pytest.mark.parametrize("B", [standard_simplex(0), standard_simplex(1),
                                    boundary_simplex(2), standard_simplex(2)],
                              ids=["point", "interval", "circle", "disk"])
-    def test_corpus_at_cap_3(self, B):
-        assert_grown_tables_fresh(cw_tower(B, 3))
+    def test_corpus_at_cap_3(self, B, construction):
+        assert_grown_tables_fresh(constructed(cw_tower(B, 3), construction))
 
     def test_point_at_cap_4(self):
         assert_grown_tables_fresh(cw_tower(standard_simplex(0), 4, budget=10**9))

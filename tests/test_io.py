@@ -43,7 +43,9 @@ from cwtower.textio import (
 from cwtower.cli import main
 
 from util import (
+    CONSTRUCTIONS,
     SEED,
+    constructed,
     oracle_square_line,
     random_one_dim_target,
     tree_sha256,
@@ -447,12 +449,14 @@ class TestReplay:
         for name, text in files.items():
             assert (path / name).read_text() == text, name
 
-    def test_stage_files_are_the_formatted_stages(self):
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_stage_files_are_the_formatted_stages(self, construction):
         # the files are made from the table's tokens, line by line; the
         # generic formatters of the stages and maps are the reference
         A = standard_simplex(2)
         for T in (cw_tower(standard_simplex(1), 3),
                   build_tower(enumerate_maps(A, boundary_simplex(2))[-1], 2)):
+            T = constructed(T, construction)
             files = {name: "".join(chunks) for name, chunks in tower_files(T)}
             assert files["input.sset"] == format_sset(T.A)
             for n in range(T.cap + 1):

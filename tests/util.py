@@ -217,6 +217,21 @@ def is_cellular_map(f):
     return all(s.gen.dim <= d for d, row in enumerate(f.assign) for s in row)
 
 
+# The paper's construction attaches all squares; the cellular one only those
+# whose attaching map is cellular.  Every simplicial attaching map is, so the
+# cellular construction is the built tower once each stage's table says so.
+CONSTRUCTIONS = ("all-maps", "cellular")
+
+
+def constructed(T, construction):
+    """The tower that ``construction`` builds from T's input map: T itself,
+    checked stage by stage for the cellular one."""
+    if construction == "cellular":
+        for n in range(1, T.cap + 1):
+            assert T.squares[n].table.cellular, f"stage {n}: an attaching map is not cellular"
+    return T
+
+
 def all_true(report):
     """Every facet of a ``ConnectivityReport`` holds."""
     return all(report.checks.values())
