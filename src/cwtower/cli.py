@@ -52,6 +52,7 @@ from .homology import (
 )
 from .textio import (
     ParseError,
+    _is_count,
     growth_csv,
     load_tower,
     parse_gen_id,
@@ -88,14 +89,18 @@ def _budget(flag=None, max_dim=None):
     env = os.environ.get("CWTOWER_BUDGET")
     if not env:
         return DEFAULT_BUDGET
-    try:
-        value = int(env)
-    except ValueError:
-        value = -1
-    if value < 0:
+    if not _is_count(env):
         raise ParseError(
             f"CWTOWER_BUDGET must be a non-negative integer, got {env!r}")
-    return value
+    return int(env)
+
+
+def _integer(text):
+    """An integer flag, in ASCII digits as the file formats read them; a
+    leading - is read, so that a negative value gets its own message."""
+    if not _is_count(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 @contextmanager
@@ -318,8 +323,8 @@ def make_parser():
     b.add_argument("target", help="target simplicial set (.sset)")
     b.add_argument("--domain", help="domain simplicial set (default: empty)")
     b.add_argument("--map", help="input map domain -> target (.smap)")
-    b.add_argument("--max-dim", "-N", type=int, default=2)
-    b.add_argument("--budget", type=int, default=None)
+    b.add_argument("--max-dim", "-N", type=_integer, default=2)
+    b.add_argument("--budget", type=_integer, default=None)
     b.add_argument("--out", required=True, help="output tower directory")
     b.add_argument("--dot", action="store_true",
                    help="also emit 1-skeleton and stage-growth DOT files")
@@ -332,15 +337,15 @@ def make_parser():
                    help="suite inputs: complexes, maps, or a family file")
     v.add_argument("--then", nargs=2, metavar=("SSET", "SMAP"),
                    help="second square for the composition law (functor suite)")
-    v.add_argument("--max-dim", "-N", type=int, default=2)
-    v.add_argument("--budget", type=int, default=None)
+    v.add_argument("--max-dim", "-N", type=_integer, default=2)
+    v.add_argument("--budget", type=_integer, default=None)
     v.add_argument("--simply-connected", action="store_true")
     v.set_defaults(func=cmd_verify)
 
     h = sub.add_parser("homology", help="integral homology report")
     h.add_argument("input", help=".sset file or tower directory")
-    h.add_argument("--stage", type=int, default=None)
-    h.add_argument("--degree", type=int, default=None)
+    h.add_argument("--stage", type=_integer, default=None)
+    h.add_argument("--degree", type=_integer, default=None)
     h.add_argument("--csv", help="also write a CSV report")
     h.set_defaults(func=cmd_homology)
     return ap

@@ -4,12 +4,12 @@ Normalized chains: one basis element per nondegenerate generator, with
 degenerate faces contributing zero.  Boundary matrices are kept as
 sparse columns ``{row: coefficient}`` built from the face tables.
 
-Every lattice question (invariant factors, rank, kernel basis, integral
-solutions) goes through one column eliminator.  It pivots only on
-entries +-1, sparsest row first, using column operations alone; each
-pivot splits off an invariant factor 1 (Dumas, Heckenbach, Saunders and
-Welker, *Computing simplicial homology based on efficient Smith normal
-form algorithms*, 2003).  Boundary matrices of simplicial sets are
+Every lattice question (invariant factors, rank, kernel basis) goes
+through one column eliminator.  It pivots only on entries +-1, sparsest
+row first, using column operations alone; each pivot splits off an
+invariant factor 1 (Dumas, Heckenbach, Saunders and Welker, *Computing
+simplicial homology based on efficient Smith normal form algorithms*,
+2003).  Boundary matrices of simplicial sets are
 almost all +-1, so the residual block (rows and columns left without a
 pivot) is small, and only it goes through the dense Smith normal form.
 All arithmetic is arbitrary precision (Python integers, object-dtype
@@ -147,26 +147,6 @@ def _clear_position(A, U, V, t):
                 V[:, j] -= q * V[:, t]
 
 
-def _dense_solve(A, B):
-    """An integer X with A X = B by Smith form, or None if none exists."""
-    U, D, V = smith_normal_form(A)
-    C = U @ B
-    m, n = A.shape
-    Y = zeros(n, B.shape[1])
-    for i in range(m):
-        d = D[i, i] if i < min(m, n) else 0
-        for j in range(B.shape[1]):
-            c = C[i, j]
-            if d == 0:
-                if c != 0:
-                    return None
-            else:
-                if c % d != 0:
-                    return None
-                Y[i, j] = c // d
-    return V @ Y
-
-
 # ---------------------------------------------------------------------------
 # Unit-pivot elimination
 # ---------------------------------------------------------------------------
@@ -187,7 +167,7 @@ class _Reduced:
     V: list
 
     def residual(self):
-        """(R, rows, cols): the dense residual block on its nonzero rows and columns.
+        """(R, cols): the dense residual block on its nonzero rows and columns.
 
         The invariant factors of M are the pivots' 1s followed by those of R.
         """
@@ -199,7 +179,7 @@ class _Reduced:
         for b, j in enumerate(cols):
             for i, v in self.cols[j].items():
                 R[at[i], b] = v
-        return R, rows, cols
+        return R, cols
 
 
 def _eliminate(cols, nrows, track=False):
@@ -258,7 +238,7 @@ def _factors(cols, nrows):
 def _kernel(cols, nrows):
     """Sparse columns forming a basis of the integer kernel lattice."""
     red = _eliminate(cols, nrows, track=True)
-    R, _, rcols = red.residual()
+    R, rcols = red.residual()
     piv = {c for _, c, _ in red.pivots}
     basis = [red.V[j] for j, col in enumerate(red.cols) if not col and j not in piv]
     if R.size:
@@ -273,40 +253,6 @@ def _kernel(cols, nrows):
     return basis
 
 
-def _solve(cols, nrows, rhs):
-    """Sparse columns X with M X = B (B given by ``rhs``), or None."""
-    if not rhs:
-        return []
-    red = _eliminate(cols, nrows, track=True)
-    R, rrows, rcols = red.residual()
-    at = {i: a for a, i in enumerate(rrows)}
-    ys = []
-    C = zeros(len(rrows), len(rhs))
-    for k, b in enumerate(rhs):
-        # each pivot row fixes y at its pivot column
-        b = dict(b)
-        y = {}
-        for r, c, u in red.pivots:
-            t = b.get(r)
-            if t:
-                y[c] = t * u
-                _add(b, -t * u, red.cols[c])
-        for i, v in b.items():
-            if i not in at:
-                return None
-            C[at[i], k] = v
-        ys.append(y)
-    if C.any():
-        Z = _dense_solve(R, C)
-        if Z is None:
-            return None
-        for k, y in enumerate(ys):
-            for a, j in enumerate(rcols):
-                if Z[a, k] != 0:
-                    y[j] = int(Z[a, k])
-    return [_apply(red.V, y) for y in ys]
-
-
 # ---------------------------------------------------------------------------
 # Chain complexes and homology
 # ---------------------------------------------------------------------------
@@ -317,7 +263,7 @@ class ChainComplex:
 
     ``columns[n-1][g]`` is the boundary of generator g of degree n, a
     sparse column over the generators of degree n-1.  Invariant factors
-    and cycle presentations are memoised per degree in ``memo``.
+    and cycle bases are memoised per degree in ``memo``.
     """
 
     ranks: tuple
@@ -337,6 +283,13 @@ class ChainComplex:
         key = ("factors", n)
         if key not in self.memo:
             self.memo[key] = _factors(self.boundary_columns(n), self.rank(n - 1))
+        return self.memo[key]
+
+    def cycles(self, n):
+        """A basis of the cycle lattice in degree n, as sparse columns."""
+        key = ("cycles", n)
+        if key not in self.memo:
+            self.memo[key] = _kernel(self.boundary_columns(n), self.rank(n - 1))
         return self.memo[key]
 
 
@@ -403,18 +356,6 @@ def homology_groups(cc: ChainComplex):
     return [homology_of_complex(cc, i) for i in range(max(len(cc.ranks), 1))]
 
 
-def _presentation(cc: ChainComplex, i):
-    """(K, W) as sparse columns: K a basis of the cycle lattice, coker(W) presenting H_i."""
-    key = ("presentation", i)
-    if key not in cc.memo:
-        K = _kernel(cc.boundary_columns(i), cc.rank(i - 1))
-        W = _solve(K, cc.rank(i), cc.boundary_columns(i + 1))
-        if W is None:
-            raise ValidationError("boundaries do not lie in the cycle lattice")
-        cc.memo[key] = (K, W)
-    return cc.memo[key]
-
-
 def _chain_map_columns(f: SimplicialMap, i):
     """Sparse columns of the map f induces on degree-i chains."""
     row = f.assign[i] if 0 <= i < len(f.assign) else ()
@@ -431,27 +372,41 @@ class HomologyMap:
 
 
 def induced_homology_map(f: SimplicialMap, i, ccX=None, ccY=None) -> HomologyMap:
-    """The map f induces on H_i; pass the chain complexes of dom and cod to reuse them."""
+    """The map f induces on H_i; pass the chain complexes of dom and cod to reuse them.
+
+    Both verdicts are read off invariant factors.  Let K be a basis of the
+    cycles Z_i(X), k its size, FK the images f(K), which are cycles of Y,
+    and d, d' the boundaries of X and Y from degree i + 1 into degree i.
+
+    Onto: H_i(f) is onto exactly when FK and the columns of d' generate
+    Z_i(Y).  That lattice lies in Z_i(Y), a kernel and so saturated, and
+    a saturated lattice inside another of equal rank equals it.  So the
+    map is onto exactly when every invariant factor of [FK | d'] is 1 and
+    there are rank Z_i(Y) of them.
+
+    One to one: in K's coordinates, let P = {c : f(Kc) in B_i(Y)}; the
+    c-parts of a kernel basis of [FK | -d'] generate it, and its rank is
+    k - rank [FK | d'] + rank d'.  B_i(X) lies in P, since f is a chain
+    map, and H_i(f) is one to one exactly when P = B_i(X).  K spans a
+    saturated lattice, a direct summand of C_i(X), so B_i(X) in K's
+    coordinates has the invariant factors of d.  Two lattices, one inside
+    the other, with the same invariant factors are equal: their ranks
+    agree, and each has index the product of its factors in their common
+    saturation.  So the map is one to one exactly when P has d's factors.
+    The kernel is computed only when the map is onto and the ranks agree.
+    """
     ccX = chain_complex(f.dom) if ccX is None else ccX
     ccY = chain_complex(f.cod) if ccY is None else ccY
-    KX, WX = _presentation(ccX, i)
-    KY, WY = _presentation(ccY, i)
     F = _chain_map_columns(f, i)
-    T = _solve(KY, ccY.rank(i), [_apply(F, z) for z in KX])
-    if T is None:
-        raise ValidationError("chain map does not preserve cycles")
-
-    kY = len(KY)
-    factors = _factors(T + WY, kY)
-    epi = len(factors) == kY and all(d == 1 for d in factors)
-
-    # kernel of the induced map: x with T x a boundary must itself come
-    # from a boundary of the source
-    kX = len(KX)
-    L = [{a: v for a, v in x.items() if a < kX}
-         for x in _kernel(T + [{a: -v for a, v in w.items()} for w in WY], kY)]
-    mono = _solve(WX, kX, L) is not None
-    return HomologyMap(degree=i, is_epi=epi, is_iso=epi and mono)
+    FK = [_apply(F, z) for z in ccX.cycles(i)]
+    k, dY = len(FK), ccY.boundary_columns(i + 1)
+    image = _factors([*FK, *dY], ccY.rank(i))
+    epi = image == (1,) * (ccY.rank(i) - len(ccY.factors(i)))
+    if not epi or k - len(image) + len(ccY.factors(i + 1)) != len(ccX.factors(i + 1)):
+        return HomologyMap(degree=i, is_epi=epi, is_iso=False)
+    P = [{a: v for a, v in x.items() if a < k}
+         for x in _kernel(FK + [{a: -v for a, v in w.items()} for w in dY], ccY.rank(i))]
+    return HomologyMap(degree=i, is_epi=epi, is_iso=_factors(P, k) == ccX.factors(i + 1))
 
 
 # ---------------------------------------------------------------------------

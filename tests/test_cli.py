@@ -527,6 +527,45 @@ class TestInputErrors:
         assert tuple(capsys.readouterr()) == ("", f"error: {message}\n")
 
 
+# spellings that int() reads and the file formats refuse
+NOT_ASCII_COUNTS = ["\u0662", "1_000", "+12", " +12_0 ", " 1", "1 "]
+
+
+class TestIntegerInputs:
+    """The integer flags and CWTOWER_BUDGET take ASCII digits, as the file
+    formats do; a leading - is read, so negative values keep their messages."""
+
+    @pytest.mark.parametrize("spelling", NOT_ASCII_COUNTS)
+    @pytest.mark.parametrize("flag, argv", [
+        ("--max-dim/-N", ["build", "{point}", "--out", "{tmp}/new", "--max-dim"]),
+        ("--budget", ["build", "{point}", "--out", "{tmp}/new", "--budget"]),
+        ("--stage", ["homology", "{tmp}/t", "--stage"]),
+        ("--degree", ["homology", "{point}", "--degree"]),
+    ], ids=["max-dim", "budget", "stage", "degree"])
+    def test_flag_exit_2(self, point_file, tmp_path, capsys, flag, argv, spelling):
+        assert main(["build", point_file, "--out", str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        fill = {"point": point_file, "tmp": str(tmp_path)}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**fill) for arg in argv] + [spelling])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error: " in line]
+        assert errors == [f"cwtower {argv[0]}: error: argument {flag}:"
+                          f" invalid int value: {spelling!r}"]
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("spelling", NOT_ASCII_COUNTS)
+    def test_budget_env_var_exit_2(self, point_file, tmp_path, capsys, monkeypatch,
+                                   spelling):
+        monkeypatch.setenv("CWTOWER_BUDGET", spelling)
+        assert main(["build", point_file, "--out", str(tmp_path / "t")]) == 2
+        assert one_error_line(capsys) == ("error: CWTOWER_BUDGET must be a non-negative"
+                                          f" integer, got {spelling!r}\n")
+        assert not (tmp_path / "t").exists()
+
+
 class TestEmptyTarget:
     """Over an empty target no stage has a square, and no stage makes the
     2^(n+1)-entry Yoneda plan of its dimension."""

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import os
 import random
 
 import pytest
@@ -14,17 +15,24 @@ from cwtower import (
     chain_complex,
     connectivity_report,
     cw_tower,
+    empty_map,
     enumerate_maps,
     homology,
     identity_map,
     induced_homology_map,
+    induced_tower_map,
+    parse_sset,
     smith_normal_form,
     standard_simplex,
 )
-from cwtower.homology import _dense_solve, homology_groups, zeros
+from cwtower.core import SimplicialSet
+from cwtower.homology import homology_groups, zeros
+from cwtower.textio import read_text
 
+import util
 from util import (
     SEED,
+    _dense_solve,
     all_true,
     boundary_matrix,
     chain_map_matrix,
@@ -33,6 +41,7 @@ from util import (
     integer_determinant,
     invariant_factors,
     kernel_basis,
+    oracle_induced_homology_map,
     path_components,
     pi0_verdicts,
     random_one_dim_target,
@@ -216,12 +225,10 @@ class TestSparseAgainstOracles:
             assert (A @ X == B).all()
 
     def test_no_right_hand_side_factors_nothing(self, monkeypatch):
-        h = importlib.import_module("cwtower.homology")
-
         def refuse(*args, **kwargs):
             raise AssertionError("eliminated a matrix for an empty right-hand side")
 
-        monkeypatch.setattr(h, "_eliminate", refuse)
+        monkeypatch.setattr(util, "_eliminate", refuse)
         X = solve_int(int_matrix([[1, 2], [3, 4], [5, 6]]), zeros(3, 0))
         assert X.shape == (2, 0)
 
@@ -317,6 +324,67 @@ class TestInducedMaps:
         f = enumerate_maps(X, standard_simplex(0))[0]
         M = chain_map_matrix(f, 1)
         assert M.shape == (0, 1)
+
+
+def _data(name):
+    return parse_sset(read_text(os.path.join(os.path.dirname(__file__), "data", name + ".sset")))
+
+
+RP2, SPHERE2, TORUS = _data("rp2"), _data("sphere2"), _data("torus")
+TARGETS = {"point": standard_simplex(0), "interval": standard_simplex(1),
+           "circle": boundary_simplex(2), "disk": standard_simplex(2),
+           "boundary3": boundary_simplex(3), "rp2": RP2, "sphere2": SPHERE2, "torus": TORUS}
+SMALL = (standard_simplex(0), standard_simplex(1), boundary_simplex(2), standard_simplex(2),
+         RP2, SPHERE2)
+
+
+def assert_oracle_verdicts(maps, degrees):
+    """``induced_homology_map`` equals the presentation oracle on every map
+    and degree; returns the oracle's (onto, iso) verdicts seen."""
+    seen = set()
+    for f in maps:
+        ccX, ccY = chain_complex(f.dom), chain_complex(f.cod)
+        for i in degrees(f):
+            want = oracle_induced_homology_map(f, i, ccX, ccY)
+            assert induced_homology_map(f, i, ccX, ccY) == want, (f, i)
+            seen.add((want.is_epi, want.is_iso))
+    return seen
+
+
+class TestAgainstTheOracle:
+    """The invariant-factor verdicts equal the per-degree presentations'."""
+
+    @pytest.mark.parametrize("name", TARGETS)
+    def test_stage_projections_and_inclusions_cap_3(self, name):
+        T = cw_tower(TARGETS[name], 3)
+        maps = [*T.projections, *T.inclusions[1:]]
+        seen = assert_oracle_verdicts(maps, lambda f: range(f.dom.dim + 2))
+        assert (True, True) in seen and (True, False) in seen
+
+    def test_maps_among_small_sets(self):
+        maps = [f for K in SMALL for X in SMALL for f in enumerate_maps(K, X)]
+        maps += [f for K in (SPHERE2, TORUS) for f in enumerate_maps(K, RP2)]
+        seen = assert_oracle_verdicts(maps, lambda f: range(f.dom.dim + 2))
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_induced_tower_map_stages(self):
+        T, Tp = cw_tower(RP2, 3), cw_tower(standard_simplex(0), 3)
+        g = enumerate_maps(RP2, standard_simplex(0))[0]
+        tm = induced_tower_map(empty_map(SimplicialSet.empty()), g, T, Tp)
+        assert_oracle_verdicts(tm.stage_maps, lambda f: range(f.dom.dim + 2))
+
+    def test_constant_circle_to_rp2_is_not_onto_h1(self):
+        # the image lattice has full rank but invariant factor 2: H_1 -> Z/2 is zero
+        f = next(f for f in enumerate_maps(boundary_simplex(2), RP2)
+                 if all(s.gen.dim == 0 for row in f.assign for s in row))
+        assert not induced_homology_map(f, 1).is_epi
+        assert not oracle_induced_homology_map(f, 1).is_epi
+
+    def test_rp2_to_point_kills_z2(self):
+        f = enumerate_maps(RP2, standard_simplex(0))[0]
+        h = induced_homology_map(f, 1)
+        assert (h.is_epi, h.is_iso) == (True, False)
+        assert oracle_induced_homology_map(f, 1) == h
 
 
 class TestConnectivity:

@@ -21,13 +21,16 @@ from cwtower import (
 )
 from cwtower.core import face, simplex_errors, subset_witness
 from cwtower.homology import (
+    HomologyMap,
+    _add,
     _apply,
     _chain_map_columns,
+    _eliminate,
     _factors,
     _kernel,
-    _presentation,
-    _solve,
     chain_complex,
+    smith_normal_form,
+    zeros,
 )
 from cwtower.homsearch import simplex_candidates
 from cwtower.textio import format_simplex
@@ -308,6 +311,96 @@ def solve_int(A, B):
     return None if X is None else _dense(X, A.shape[1])
 
 
+# The per-degree presentation of induced homology maps: the reference for
+# ``induced_homology_map``, which reads its verdicts off invariant factors.
+
+def _dense_solve(A, B):
+    """An integer X with A X = B by Smith form, or None if none exists."""
+    U, D, V = smith_normal_form(A)
+    C = U @ B
+    m, n = A.shape
+    Y = zeros(n, B.shape[1])
+    for i in range(m):
+        d = D[i, i] if i < min(m, n) else 0
+        for j in range(B.shape[1]):
+            c = C[i, j]
+            if d == 0:
+                if c != 0:
+                    return None
+            else:
+                if c % d != 0:
+                    return None
+                Y[i, j] = c // d
+    return V @ Y
+
+
+def _solve(cols, nrows, rhs):
+    """Sparse columns X with M X = B (B given by ``rhs``), or None."""
+    if not rhs:
+        return []
+    red = _eliminate(cols, nrows, track=True)
+    R, rcols = red.residual()
+    rrows = sorted({i for j in rcols for i in red.cols[j]})
+    at = {i: a for a, i in enumerate(rrows)}
+    ys = []
+    C = zeros(len(rrows), len(rhs))
+    for k, b in enumerate(rhs):
+        # each pivot row fixes y at its pivot column
+        b = dict(b)
+        y = {}
+        for r, c, u in red.pivots:
+            t = b.get(r)
+            if t:
+                y[c] = t * u
+                _add(b, -t * u, red.cols[c])
+        for i, v in b.items():
+            if i not in at:
+                return None
+            C[at[i], k] = v
+        ys.append(y)
+    if C.any():
+        Z = _dense_solve(R, C)
+        if Z is None:
+            return None
+        for k, y in enumerate(ys):
+            for a, j in enumerate(rcols):
+                if Z[a, k] != 0:
+                    y[j] = int(Z[a, k])
+    return [_apply(red.V, y) for y in ys]
+
+
+def _presentation(cc, i):
+    """(K, W) as sparse columns: K a basis of the cycle lattice, coker(W) presenting H_i."""
+    K = _kernel(cc.boundary_columns(i), cc.rank(i - 1))
+    return K, _solve(K, cc.rank(i), cc.boundary_columns(i + 1))
+
+
+def _cycle_map(f, i, KX, KY, ccY):
+    """The matrix, as sparse columns, of f on the cycle lattices with bases KX, KY."""
+    F = _chain_map_columns(f, i)
+    return _solve(KY, ccY.rank(i), [_apply(F, z) for z in KX])
+
+
+def oracle_induced_homology_map(f, i, ccX=None, ccY=None):
+    """The map f induces on H_i, from presentations of both sides: H_i(f)
+    is onto when its matrix and Y's relations have unit invariant factors,
+    and one to one when every kernel vector modulo Y's relations is a
+    combination of X's relations."""
+    ccX = chain_complex(f.dom) if ccX is None else ccX
+    ccY = chain_complex(f.cod) if ccY is None else ccY
+    KX, WX = _presentation(ccX, i)
+    KY, WY = _presentation(ccY, i)
+    T = _cycle_map(f, i, KX, KY, ccY)
+    kY = len(KY)
+    factors = _factors(T + WY, kY)
+    epi = len(factors) == kY and all(d == 1 for d in factors)
+    kX = len(KX)
+    L = [{a: v for a, v in x.items() if a < kX}
+         for x in _kernel(T + [{a: -v for a, v in w.items()} for w in WY], kY)]
+    mono = _solve(WX, kX, L) is not None
+    return HomologyMap(degree=i, is_epi=epi, is_iso=epi and mono)
+
+
 def boundary_matrix(cc, n):
     """The boundary matrix of a chain complex in degree n (rank_{n-1} x rank_n), dense."""
     return _dense(cc.boundary_columns(n), cc.rank(n - 1))
@@ -319,12 +412,11 @@ def chain_map_matrix(f, i):
 
 
 def homology_map_matrix(f, i):
-    """The matrix of the map f induces on H_i, in the cycle-lattice bases
-    that ``induced_homology_map`` fixes per space and degree."""
+    """The matrix of the map f induces on the cycle lattices, in the bases
+    that ``ChainComplex.cycles`` fixes per space and degree."""
     ccX, ccY = chain_complex(f.dom), chain_complex(f.cod)
-    (KX, _), (KY, _) = _presentation(ccX, i), _presentation(ccY, i)
-    F = _chain_map_columns(f, i)
-    return _dense(_solve(KY, ccY.rank(i), [_apply(F, z) for z in KX]), len(KY))
+    KX, KY = ccX.cycles(i), ccY.cycles(i)
+    return _dense(_cycle_map(f, i, KX, KY, ccY), len(KY))
 
 
 def row_sha256(row):
