@@ -56,13 +56,22 @@ class Tower:
     projection): comparing them would compare each stage again.
     """
 
-    A: SimplicialSet
-    B: SimplicialSet
     f: SimplicialMap
-    cap: int
     stages: list
     projections: list
     squares: list = field(compare=False)
+
+    @property
+    def A(self) -> SimplicialSet:
+        return self.f.dom
+
+    @property
+    def B(self) -> SimplicialSet:
+        return self.f.cod
+
+    @property
+    def cap(self) -> int:
+        return len(self.stages) - 1
 
     @property
     def top(self) -> SimplicialSet:
@@ -113,8 +122,7 @@ def tower_stages(f: SimplicialMap, cap, *, budget=DEFAULT_BUDGET):
             stages.append(Xn)
             projections.append(pn)
             squares.append(sqs)
-        yield Tower(A=f.dom, B=f.cod, f=f, cap=n, stages=list(stages),
-                    projections=list(projections), squares=list(squares))
+        yield Tower(f, list(stages), list(projections), list(squares))
 
 
 def cw_tower(B: SimplicialSet, cap, *, budget=DEFAULT_BUDGET) -> Tower:

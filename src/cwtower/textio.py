@@ -507,16 +507,11 @@ def tower_meta(path):
     for key in ("variant", "cap"):
         if key not in meta:
             raise ParseError(f"meta.txt has no {key!r} line")
-    try:
-        cap = int(meta["cap"])
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ParseError(f"meta.txt: cap must be a non-negative integer,"
-                         f" got {meta['cap']!r}")
+    if not _is_count(meta["cap"]):
+        raise ParseError(f"meta.txt: cap must be a non-negative integer, got {meta['cap']!r}")
     if meta["variant"] != "all-maps":
         raise ParseError(f"meta.txt: unknown variant {meta['variant']!r}")
-    return cap, text
+    return int(meta["cap"]), text
 
 
 def load_tower(path, upto=None, budget=DEFAULT_BUDGET):

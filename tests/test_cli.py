@@ -395,6 +395,19 @@ class TestHomology:
         assert captured.err.startswith("error: meta.txt")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("cap", ["\u0662", "+2", "0_2"])
+    def test_meta_cap_takes_ascii_digits_only(self, point_file, tmp_path, capsys, cap):
+        # int() reads each of these as 2
+        t = tmp_path / "t"
+        assert main(["build", point_file, "--out", str(t)]) == 0
+        (t / "meta.txt").write_text(f"tower v1\nvariant all-maps\ncap {cap}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["homology", str(t)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: meta.txt: cap must be a non-negative integer,"
+                                f" got {cap!r}\n")
+
 
 def one_error_line(capsys):
     """The stderr of a command that exited 2: exactly one ``error:`` line."""

@@ -4,7 +4,7 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
@@ -45,6 +45,7 @@ from util import (
     path_components,
     pi0_verdicts,
     random_one_dim_target,
+    small_targets,
     solve_int,
     vertex_with_loop,
 )
@@ -386,6 +387,15 @@ class TestAgainstTheOracle:
         assert (h.is_epi, h.is_iso) == (True, False)
         assert oracle_induced_homology_map(f, 1) == h
 
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @example(RP2, standard_simplex(0))  # onto H_1, which loses the torsion
+    @example(RP2, RP2)
+    @example(SPHERE2, RP2)
+    @given(small_targets(max_vertices=2), small_targets(max_vertices=2))
+    def test_maps_between_random_targets(self, X, Y):
+        # torsion and degenerate faces, as in the minimal S^2 and RP^2
+        assert_oracle_verdicts(enumerate_maps(X, Y), lambda f: range(4))
+
 
 class TestConnectivity:
     def test_path_components(self):
@@ -463,3 +473,18 @@ def test_each_degree_is_computed_once(monkeypatch, B, cap, simply_connected):
         connectivity_report(T, n, simply_connected)
         top = n if simply_connected and n >= 2 else min(n, 1)
         assert sorted(degrees) == list(range(top + 1)), f"stage {n}: {degrees}"
+
+
+def test_kernel_runs_only_for_cycle_bases(monkeypatch):
+    # the verdicts read the memoised factors: _kernel only finds cycle bases
+    module = importlib.import_module("cwtower.homology")
+    kernels, complexes = [], []
+    real_kernel, real_complex = module._kernel, module.chain_complex
+    monkeypatch.setattr(module, "_kernel", lambda *a: kernels.append(1) or real_kernel(*a))
+    monkeypatch.setattr(module, "chain_complex",
+                        lambda X: complexes.append(real_complex(X)) or complexes[-1])
+    T = cw_tower(standard_simplex(0), 3)
+    for n in range(4):
+        connectivity_report(T, n, True)
+    cycles = sum(key[0] == "cycles" for cc in complexes for key in cc.memo)
+    assert len(complexes) == 8 and len(kernels) == cycles > 0

@@ -1,6 +1,5 @@
 import random
 from itertools import combinations
-from itertools import product
 
 import numpy as np
 import pytest
@@ -38,7 +37,9 @@ from util import (
     oracle_enumerate_squares,
     oracle_square_line,
     random_one_dim_target,
+    small_targets,
     square_maps,
+    target_of,
     vertex_with_loop,
 )
 
@@ -235,33 +236,6 @@ class TestEnumerateSquares:
             ]
             assert len(set(images)) == len(images)
             assert set(images) <= target_keys
-
-
-def vertex(v):
-    return Simplex((), SimplexRef(0, v))
-
-
-def target_of(nv, edges, triangles):
-    """A complex from vertex count, edges (d_0, d_1) and triangles given as
-    ranks into its 1-simplex candidates (edges and degenerate vertices)."""
-    faces = [[()] * nv, [(vertex(a), vertex(b)) for a, b in edges]]
-    ones = simplex_candidates(SimplicialSet.build([nv, len(edges)], faces), 1)
-    return SimplicialSet.build([nv, len(edges), len(triangles)], faces + [
-        [tuple(ones[r] for r in t) for t in triangles]])
-
-
-@st.composite
-def small_targets(draw):
-    """Complexes of dimension <= 2 with up to 3 vertices, 3 edges (loops
-    allowed) and 2 triangles, whose faces may be degenerate."""
-    nv = draw(st.integers(1, 3))
-    edges = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
-                          max_size=3))
-    X1 = target_of(nv, edges, [])
-    ones = range(len(simplex_candidates(X1, 1)))
-    shells = [t for t in product(ones, repeat=3) if not validate(target_of(nv, edges, [t]))]
-    triangles = draw(st.lists(st.sampled_from(shells), max_size=2)) if shells else []
-    return target_of(nv, edges, triangles)
 
 
 class TestRandomTargets:

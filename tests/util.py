@@ -5,6 +5,7 @@ import os
 from itertools import product
 
 import numpy as np
+from hypothesis import strategies as st
 
 from cwtower import (
     Simplex,
@@ -19,7 +20,7 @@ from cwtower import (
     map_errors,
     standard_simplex,
 )
-from cwtower.core import face, simplex_errors, subset_witness
+from cwtower.core import face, simplex_errors, subset_witness, validate
 from cwtower.homology import (
     HomologyMap,
     _add,
@@ -177,6 +178,35 @@ def random_one_dim_target(rng, max_gens=4):
         for _ in range(ne)
     ]
     return SimplicialSet.build([nv, ne], [[() for _ in range(nv)], faces1])
+
+
+def vertex(v):
+    return Simplex((), SimplexRef(0, v))
+
+
+def target_of(nv, edges, triangles):
+    """A complex from vertex count, edges (d_0, d_1) and triangles given as
+    ranks into its 1-simplex candidates (edges and degenerate vertices)."""
+    faces = [[()] * nv, [(vertex(a), vertex(b)) for a, b in edges]]
+    ones = simplex_candidates(SimplicialSet.build([nv, len(edges)], faces), 1)
+    return SimplicialSet.build([nv, len(edges), len(triangles)], faces + [
+        [tuple(ones[r] for r in t) for t in triangles]])
+
+
+@st.composite
+def small_targets(draw, max_vertices=3):
+    """Complexes of dimension <= 2 with up to ``max_vertices`` vertices, 3
+    edges (loops allowed) and 2 triangles, whose faces may be degenerate
+    (as in the minimal S^2 and RP^2).  Each triangle is drawn among the
+    shells that ``validate`` accepts."""
+    nv = draw(st.integers(1, max_vertices))
+    edges = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+                          max_size=3))
+    X1 = target_of(nv, edges, [])
+    ones = range(len(simplex_candidates(X1, 1)))
+    shells = [t for t in product(ones, repeat=3) if not validate(target_of(nv, edges, [t]))]
+    triangles = draw(st.lists(st.sampled_from(shells), max_size=2)) if shells else []
+    return target_of(nv, edges, triangles)
 
 
 def vertex_with_loop():
