@@ -28,9 +28,12 @@ B = boundary_simplex(2)
 T = cw_tower(B, 2)
 e = empty_map(SimplicialSet.empty())
 
-# the identity of B induces the identity of the tower
+# the identity of B induces the identity of the tower: a tower map is f
+# plus the index of each new cell's image, and its stage maps, simplicial
+# maps made from those indices when read, are the identities of the stages
 tm = induced_tower_map(e, identity_map(B), T, T)
-same = tm.stage_maps == identity_tower_map(T).stage_maps
+same = tm == identity_tower_map(T)
+same = same and all(fn == identity_map(X) for fn, X in zip(tm.stage_maps, T.stages))
 print("identity target map induces identity tower map:", same)
 
 # one edge of the triangle boundary, as a subcomplex

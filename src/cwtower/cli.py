@@ -112,10 +112,6 @@ def _writing(path):
         raise ParseError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
 
 
-def _emit(line):
-    print(line)
-
-
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
@@ -133,8 +129,7 @@ def cmd_build(args):
         save_tower(tower, args.out)
         if args.dot:
             _write_dot(tower, args.out)
-    for line in growth_csv(tower).splitlines():
-        _emit(line)
+    print(growth_csv(tower), end="")
     return EXIT_OK
 
 
@@ -209,12 +204,12 @@ def cmd_verify(args):
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
-        _emit(f"{status} {name}" + (f" {detail}" if detail else ""))
+        print(f"{status} {name}" + (f" {detail}" if detail else ""))
 
+    B = _load_sset(args.inputs[0])  # every suite's first input is a simplicial set
     if args.suite == "variant":
         # the cellular tower equals the all-maps tower through stage n
         # exactly when every square of stages 1..n is cellular
-        B = _load_sset(args.inputs[0])
         tower = cw_tower(B, args.max_dim, budget=budget)
         same = True
         for n in range(args.max_dim + 1):
@@ -222,59 +217,45 @@ def cmd_verify(args):
             report(f"variant-coincidence stage={n}", same)
 
     elif args.suite == "connectivity":
-        B = _load_sset(args.inputs[0])
         tower = cw_tower(B, args.max_dim, budget=budget)
         for n in range(args.max_dim + 1):
             rep = connectivity_report(tower, n, args.simply_connected)
             for check, ok in rep.checks.items():
                 report(f"connectivity stage={n} {check}", ok)
 
-    elif args.suite == "subcomplex":
-        B, Bp, g = _load_pair_with_map(args)
-        T = cw_tower(B, args.max_dim, budget=budget)
-        Tp = cw_tower(Bp, args.max_dim, budget=budget)
-        tm = induced_tower_map(empty_map(SimplicialSet.empty()), g, T, Tp)
-        ok, witness = check_subcomplex(tm)
-        detail = "" if ok else (
-            f"stage={witness[0]} generator={witness[1].dim}:{witness[1].index}")
-        report("subcomplex-inclusion", ok, detail)
-
-    elif args.suite == "functor":
-        B, Bp, g = _load_pair_with_map(args)
-        T = cw_tower(B, args.max_dim, budget=budget)
-        Tp = cw_tower(Bp, args.max_dim, budget=budget)
-        e = empty_map(SimplicialSet.empty())
-        ident = induced_tower_map(e, identity_map(B), T, T)
-        ok = ident.stage_maps == identity_tower_map(T).stage_maps
-        report("functor identity-law", ok)
-        tm = induced_tower_map(e, g, T, Tp)
-        report("functor naturality", True)  # the square match proves it or refuses
+    elif args.suite in ("subcomplex", "functor"):
+        # every input is read before any tower is built
+        Bp = _load_sset(args.inputs[1])
+        g = parse_smap(read_text(args.inputs[2]), B, Bp)
         if args.then:
             Bpp = _load_sset(args.then[0])
             h = parse_smap(read_text(args.then[1]), Bp, Bpp)
+        T, Tp = (cw_tower(X, args.max_dim, budget=budget) for X in (B, Bp))
+        e = empty_map(SimplicialSet.empty())
+        tm = induced_tower_map(e, g, T, Tp)
+        if args.suite == "subcomplex":
+            ok, witness = check_subcomplex(tm)
+            report("subcomplex-inclusion", ok, "" if ok else
+                   f"stage={witness[0]} generator={witness[1].dim}:{witness[1].index}")
+        else:
+            ident = induced_tower_map(e, identity_map(B), T, T)
+            report("functor identity-law", ident == identity_tower_map(T))
+            report("functor naturality", True)  # the square match proves it or refuses
+        if args.then:
             Tpp = cw_tower(Bpp, args.max_dim, budget=budget)
             tm2 = induced_tower_map(e, h, Tp, Tpp)
             direct = induced_tower_map(e, compose(h, g), T, Tpp)
-            ok = compose_tower_maps(tm2, tm).stage_maps == direct.stage_maps
-            report("functor composition-law", ok)
+            report("functor composition-law", compose_tower_maps(tm2, tm) == direct)
 
     elif args.suite == "intersect":
-        X = _load_sset(args.inputs[0])
         family = _parse_family(read_text(args.inputs[1]))
-        ok, reports = check_intersection(X, family, args.max_dim, budget=budget)
+        ok, reports = check_intersection(B, family, args.max_dim, budget=budget)
         for rep in reports:
             report(f"intersection stage={rep['stage']}", rep["equal"],
                    f"lhs={rep['intersection_size']}"
                    f" rhs={rep['tower_of_intersection_size']}")
 
     return EXIT_CHECK_FAILED if failures else EXIT_OK
-
-
-def _load_pair_with_map(args):
-    B = _load_sset(args.inputs[0])
-    Bp = _load_sset(args.inputs[1])
-    g = parse_smap(read_text(args.inputs[2]), B, Bp)
-    return B, Bp, g
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +280,7 @@ def cmd_homology(args):
     for H in groups:
         torsion = ";".join(str(d) for d in H.torsion)
         rows.append((H.dim, H.betti, torsion))
-        _emit(f"degree={H.dim} betti={H.betti} torsion=[{torsion}] group={H}")
+        print(f"degree={H.dim} betti={H.betti} torsion=[{torsion}] group={H}")
     if args.csv:
         with _writing(args.csv), open(args.csv, "w") as fh:
             fh.write("degree,betti,torsion\n")

@@ -10,7 +10,7 @@ identity, so subcomplex and intersection checks compare generator indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -134,15 +134,39 @@ def cw_tower(B: SimplicialSet, cap, *, budget=DEFAULT_BUDGET) -> Tower:
 # Induced tower maps
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class TowerMap:
-    """Stagewise map between towers induced by a commuting square (f, g)."""
+    """Stagewise map between towers induced by a commuting square (f, g).
+
+    Cells are indexed by squares, so the map is f on A plus one int64 array
+    per stage: ``cells[n][k]`` is the target's stage-n generator that the
+    k-th generator appended at stage n goes to.  Tower maps are equal when
+    their towers, f, g and cells are.
+    """
 
     source: Tower
     target: Tower
     f: SimplicialMap
     g: SimplicialMap
-    stage_maps: list
+    cells: list
+
+    def __eq__(self, other):
+        return (isinstance(other, TowerMap) and len(self.cells) == len(other.cells)
+                and (self.source, self.target, self.f, self.g)
+                == (other.source, other.target, other.f, other.g)
+                and all(map(np.array_equal, self.cells, other.cells)))
+
+    @cached_property
+    def stage_maps(self):
+        """The stage maps f_n: A_n -> A'_n, made from f and cells when first read."""
+        return list(self._stage_maps())
+
+    def _stage_maps(self):
+        """Yield f_0, f_1, ...: f_{n-1} (f for n = 0) with stage n's new cells sent to cells[n]."""
+        assign = self.f.assign
+        for n, new in enumerate(self.cells):
+            assign = appended(assign, n, (Simplex((), SimplexRef(n, c)) for c in new.tolist()))
+            yield SimplicialMap(self.source.stages[n], self.target.stages[n], assign)
 
 
 def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -> TowerMap:
@@ -179,20 +203,17 @@ def induced_tower_map(f: SimplicialMap, g: SimplicialMap, T: Tower, Tp: Tower) -
         raise ValidationError("invalid square map: " + "; ".join(errs[:4]))
     if compose(g, T.f) != compose(Tp.f, f):
         raise ValidationError("square (f, g) does not commute with the tower maps")
-    cap = min(T.cap, Tp.cap)
 
     # stage 0 is f on A, then the vertex of b goes to the vertex of g(b),
     # which stage 0 of Tp appends after A'
-    ap = Tp.A.count(0)
-    stage_maps = [SimplicialMap(T.stages[0], Tp.stages[0], appended(f.assign, 0, [
-        Simplex((), SimplexRef(0, ap + g.assign[0][b].gen.index))
-        for b in range(T.B.count(0))]))]
-    for n in range(1, cap + 1):
-        prev = stage_maps[-1]
-        new = _square_images(n, prev, g, T, Tp) if T.squares[n] else ()
-        stage_maps.append(SimplicialMap(T.stages[n], Tp.stages[n],
-                                        appended(prev.assign, n, new)))
-    return TowerMap(source=T, target=Tp, f=f, g=g, stage_maps=stage_maps)
+    tm = TowerMap(source=T, target=Tp, f=f, g=g, cells=[Tp.A.count(0) + np.array(
+        [g.assign[0][b].gen.index for b in range(T.B.count(0))], dtype=np.int64)])
+    # the match of stage n reads f_{n-1}, made from the cells found so far
+    below = tm._stage_maps()
+    for n in range(1, min(T.cap, Tp.cap) + 1):
+        tm.cells.append(_square_images(n, next(below), g, T, Tp) if T.squares[n]
+                        else np.empty(0, dtype=np.int64))
+    return tm
 
 
 def _square_images(n, prev, g, T: Tower, Tp: Tower):
@@ -210,7 +231,6 @@ def _square_images(n, prev, g, T: Tower, Tp: Tower):
         img_b = np.array([tgt.rank_b[n][g(s)] for s in src.cand_b[n]], dtype=np.int64)
     except KeyError:
         raise ValidationError(f"stage {n}: a stage map leaves its target") from None
-    base_p = Tp.stages[n - 1].count(n)
     # find each image square among Tp's, whose squares are distinct
     row, there = T.squares[n], Tp.squares[n]
     order, hi, counts = match_rows(max(len(tgt.cand_a[n - 1]), len(tgt.cand_b[n])),
@@ -218,23 +238,23 @@ def _square_images(n, prev, g, T: Tower, Tp: Tower):
                                    np.column_stack((img_a[row.facets], img_b[row.tops])))
     if not counts.all():
         raise missing
-    return [Simplex((), SimplexRef(n, base_p + i)) for i in order[hi - 1].tolist()]
+    return Tp.stages[n - 1].count(n) + order[hi - 1]
 
 
 def compose_tower_maps(tm2: TowerMap, tm1: TowerMap) -> TowerMap:
     """Stagewise composition; tm1's target tower must be tm2's source."""
     if tm1.target is not tm2.source and tm1.target != tm2.source:
         raise ValidationError("tower maps do not compose")
-    cap = min(len(tm1.stage_maps), len(tm2.stage_maps))
-    stage_maps = [compose(tm2.stage_maps[n], tm1.stage_maps[n]) for n in range(cap)]
+    # tm1's new cells at stage n are tm2's source generators after A''s
+    A = tm2.source.A
+    cells = [c2[c1 - A.count(n)] for n, (c1, c2) in enumerate(zip(tm1.cells, tm2.cells))]
     return TowerMap(source=tm1.source, target=tm2.target,
-                    f=compose(tm2.f, tm1.f), g=compose(tm2.g, tm1.g),
-                    stage_maps=stage_maps)
+                    f=compose(tm2.f, tm1.f), g=compose(tm2.g, tm1.g), cells=cells)
 
 
 def identity_tower_map(T: Tower) -> TowerMap:
     return TowerMap(source=T, target=T, f=identity_map(T.A), g=identity_map(T.B),
-                    stage_maps=[identity_map(T.stages[n]) for n in range(T.cap + 1)])
+                    cells=[np.arange(T.A.count(n), X.count(n)) for n, X in enumerate(T.stages)])
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +265,18 @@ def check_subcomplex(tm: TowerMap):
     """True iff every stage map is a subset inclusion; witness on failure.
 
     Returns (ok, witness) where witness is (stage, generator) for the
-    first offending generator, or None.
+    first offending generator, or None.  Stage 0 holds all of f; above it,
+    stage n adds only n-cells sent to cells after A''s, so its first
+    offender is the first repeated entry of ``cells[n]``.
     """
-    for n, fn in enumerate(tm.stage_maps):
-        w = subset_witness(fn)
-        if w is not None:
-            return False, (n, w)
+    w = subset_witness(next(tm._stage_maps()))
+    if w is not None:
+        return False, (0, w)
+    for n, cells in enumerate(tm.cells[1:], start=1):
+        order = cells.argsort(kind="stable")  # a repeat sorts after its first entry
+        repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
+        if len(repeats):
+            return False, (n, SimplexRef(n, tm.source.A.count(n) + int(repeats.min())))
     return True, None
 
 
@@ -262,6 +288,7 @@ def check_intersection(X: SimplicialSet, subsets, cap, budget=DEFAULT_BUDGET):
     stage images of the member towers must equal, exactly and at every
     stage through ``cap``, the stage image of the tower of the total
     intersection.  Every member is checked before any tower is built.
+    Stage n's image is the cells of stages 0..n (A is empty), one to one.
 
     Returns (ok, reports), one report dict per stage.
     """
@@ -283,29 +310,21 @@ def check_intersection(X: SimplicialSet, subsets, cap, budget=DEFAULT_BUDGET):
     @cache
     def image(incl):
         tm = induced_tower_map(e, incl, tower(incl.dom), ambient)
-        return [_image_generators(fn) for fn in tm.stage_maps]
+        ok, witness = check_subcomplex(tm)
+        if not ok:
+            raise ValidationError("stage map is not a subset inclusion"
+                                  f" (generator {witness[1].dim}:{witness[1].index})")
+        return tm.cells
 
     ambient, e = tower(X), empty_map(SimplicialSet.empty())
-    member_images = [image(incl) for _, incl in members]
-    total_images = image(incl_total)
+    images = [image(incl) for _, incl in members]
 
-    ok = True
+    ok, lhs_size, rhs_size = True, 0, 0
     reports = []
-    for n in range(cap + 1):
-        lhs = set.intersection(*[imgs[n] for imgs in member_images])
-        rhs = total_images[n]
-        equal = lhs == rhs
-        ok = ok and equal
-        reports.append({"stage": n, "intersection_size": len(lhs),
-                        "tower_of_intersection_size": len(rhs), "equal": equal})
+    for n, rhs in enumerate(image(incl_total)):
+        lhs = reduce(lambda a, b: a[np.isin(a, b, assume_unique=True)], [c[n] for c in images])
+        ok = ok and len(lhs) == len(rhs) and bool(np.isin(rhs, lhs, assume_unique=True).all())
+        lhs_size, rhs_size = lhs_size + len(lhs), rhs_size + len(rhs)
+        reports.append({"stage": n, "intersection_size": lhs_size,
+                        "tower_of_intersection_size": rhs_size, "equal": ok})
     return ok, reports
-
-
-def _image_generators(f: SimplicialMap):
-    """Generator image set of a subset inclusion, as (dim, index) pairs."""
-    w = subset_witness(f)
-    if w is not None:
-        raise ValidationError(
-            f"stage map is not a subset inclusion (generator {w.dim}:{w.index})")
-    return {(d, f.assign[d][g].gen.index)
-            for d in range(len(f.dom.counts)) for g in range(f.dom.counts[d])}

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import cwtower.cli
 import cwtower.factorization
 import cwtower.homsearch as homsearch
 from cwtower import (
@@ -264,6 +265,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS functor identity-law" in out
         assert "PASS functor composition-law" in out
+
+    def test_functor_then_inputs_read_before_any_tower(self, point_file, tmp_path, capsys,
+                                                       monkeypatch):
+        # the second square's map misses a generator: refused before the
+        # first tower is built, so no PASS line comes before the error
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower was built")
+
+        monkeypatch.setattr(cwtower.cli, "cw_tower", refuse)
+        iv, g, h = tmp_path / "iv.sset", tmp_path / "g.smap", tmp_path / "h.smap"
+        iv.write_text(format_sset(standard_simplex(1)))
+        g.write_text(format_smap(enumerate_maps(standard_simplex(0), standard_simplex(1))[0]))
+        h.write_text("smap v1\ngen 0:0 -> (|0:0)\n")
+        assert main(["verify", "--suite", "functor", point_file, str(iv), str(g),
+                     "--then", str(iv), str(h)]) == 2
+        assert tuple(capsys.readouterr()) == (
+            "", "error: missing assignment for generator 0:1\n")
 
     def test_intersect_suite(self, circle_file, tmp_path, capsys):
         fam = tmp_path / "family.txt"

@@ -35,6 +35,7 @@ from cwtower.core import map_errors
 from cwtower.homsearch import AttachmentSquare
 
 from util import check_tower_map, is_cellular_map, is_simplicial_subset
+from util import face_closure, small_targets, walked_intersection, walked_subcomplex_witness
 from util import oracle_induced_stage_maps
 from util import random_one_dim_target
 from util import vertex_with_loop
@@ -240,6 +241,34 @@ class TestFunctorLaws:
         assert compose(Tp.projections[1], tm.stage_maps[1]) == \
             compose(g, T.projections[1])
 
+    def test_composition_law_with_nonempty_domains(self):
+        # the point at vertex 0 of the interval, then the interval, then the
+        # interval over a point: A = pt and A' = Delta^1 have different
+        # counts, so the gather must skip A''s generators, not A's
+        pt, D1 = standard_simplex(0), standard_simplex(1)
+        at0, collapse = subcomplex(D1, {R(0, 0)})[1], collapse_to_point(D1)
+        T, Tm, Tp = (build_tower(h, 2) for h in (at0, identity_map(D1), collapse))
+        tm1 = induced_tower_map(at0, identity_map(D1), T, Tm)
+        tm2 = induced_tower_map(identity_map(D1), collapse, Tm, Tp)
+        direct = induced_tower_map(at0, collapse, T, Tp)
+        stacked = compose_tower_maps(tm2, tm1)
+        assert stacked == direct
+        assert stacked.stage_maps == direct.stage_maps == oracle_induced_stage_maps(
+            at0, collapse, T, Tp)
+
+    def test_equality_reads_f_g_and_cells(self):
+        T = cw_tower(boundary_simplex(2), 2)
+        e = empty_map(SimplicialSet.empty())
+        tm = induced_tower_map(e, identity_map(T.B), T, T)
+        assert tm == identity_tower_map(T)
+        cells = tm.cells[2].copy()
+        cells[[0, 1]] = cells[[1, 0]]
+        assert tm != dataclasses.replace(tm, cells=[*tm.cells[:2], cells])
+        assert tm != dataclasses.replace(tm, cells=tm.cells[:2])
+        rotate = enumerate_maps(T.B, T.B)[1]
+        assert rotate != identity_map(T.B)
+        assert tm != dataclasses.replace(tm, g=rotate)
+
     def test_stage_maps_match_compose_keyed_oracle(self):
         e = empty_map(SimplicialSet.empty())
         cases = [(e, g, cw_tower(g.dom, 2), cw_tower(g.cod, 2)) for g in self.corpus()]
@@ -385,15 +414,156 @@ class TestIntersectionTheorem:
             check_intersection(boundary_simplex(2), [EDGE01 | {R(1, 9)}, EDGE02], 4)
 
 
+def two_triangles():
+    """Two 2-generators on the boundary of Delta^2, and its map onto Delta^2
+    that sends both to the top simplex: one to one below dimension 2."""
+    D2 = standard_simplex(2)
+    S = SimplicialSet.build([3, 3, 2], [D2.faces[0], D2.faces[1], D2.faces[2] * 2])
+    rows = identity_map(D2).assign
+    return SimplicialMap(S, D2, (rows[0], rows[1], rows[2] * 2))
+
+
+class TestArrayChecksAgainstTheWalks:
+    """``check_subcomplex`` and ``check_intersection`` read the cell arrays;
+    the walks over the stage maps that they replaced are their references."""
+
+    def tower_maps(self):
+        e = empty_map(SimplicialSet.empty())
+        B2, D1, D2 = boundary_simplex(2), standard_simplex(1), standard_simplex(2)
+        out = []
+        for B in (standard_simplex(0), D1, B2, D2, vertex_with_loop()):
+            T = cw_tower(B, 3)
+            out += [identity_tower_map(T), induced_tower_map(e, identity_map(B), T, T)]
+        gs = [*TestFunctorLaws().corpus(),
+              *(incl for _, incl in TestSubcomplexTheorem().inclusion_pairs()),
+              *enumerate_maps(vertex_with_loop(), vertex_with_loop()), two_triangles()]
+        out += [induced_tower_map(e, g, cw_tower(g.dom, 3), cw_tower(g.cod, 3)) for g in gs]
+        collapse = collapse_to_point(D1)
+        out.append(induced_tower_map(identity_map(D1), collapse,
+                                     build_tower(identity_map(D1), 3), build_tower(collapse, 3)))
+        return out
+
+    def test_subcomplex_witness(self):
+        stages = set()
+        for tm in self.tower_maps():
+            got = check_subcomplex(tm)
+            assert got == walked_subcomplex_witness(tm)
+            stages.add(got[1] and got[1][0])
+        # passing maps, and witnesses at stages 0, 1 and 2
+        assert stages == {None, 0, 1, 2}
+
+    def test_repeated_cell_at_stage_two(self):
+        # A = Delta^2 has a 2-generator, so stage 2's new cells start at 2:1
+        T = build_tower(identity_map(standard_simplex(2)), 2)
+        tm = identity_tower_map(T)
+        cells = tm.cells[2].copy()
+        k = 5
+        cells[k] = cells[2]
+        bad = dataclasses.replace(tm, cells=[*tm.cells[:2], cells])
+        assert T.A.count(2) == 1 and len(cells) > k
+        assert check_subcomplex(bad) == (False, (2, R(2, T.A.count(2) + k)))
+        assert check_subcomplex(bad) == walked_subcomplex_witness(bad)
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(small_targets(max_vertices=2), small_targets(max_vertices=2), st.data())
+    def test_subcomplex_witness_on_random_maps(self, B, Bp, data):
+        maps = enumerate_maps(B, Bp)
+        if not maps:
+            return
+        g = data.draw(st.sampled_from(maps))
+        e = empty_map(SimplicialSet.empty())
+        tm = induced_tower_map(e, g, cw_tower(B, 2), cw_tower(Bp, 2))
+        assert check_subcomplex(tm) == walked_subcomplex_witness(tm)
+
+    @pytest.mark.parametrize("X, family, cap", [
+        (boundary_simplex(2), [EDGE01, EDGE02], 3),
+        (boundary_simplex(2), [{R(0, 0)}, {R(0, 1)}], 2),
+        (boundary_simplex(2), [EDGE01, EDGE02, EDGE12], 2),
+        (boundary_simplex(2), [set(boundary_simplex(2).generators())], 2),
+        (standard_simplex(2), [EDGE01 | EDGE02, EDGE01 | EDGE12], 2),
+    ], ids=["adjacent-edges", "disjoint-vertices", "three-edges", "singleton", "disk-wedges"])
+    def test_intersection(self, X, family, cap):
+        assert check_intersection(X, family, cap) == walked_intersection(X, family, cap)
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(small_targets(), st.data())
+    def test_intersection_on_random_families(self, X, data):
+        gens = sorted(X.generators())
+        family = [face_closure(X, data.draw(st.sets(st.sampled_from(gens), max_size=3)))
+                  for _ in range(data.draw(st.integers(1, 3)))]
+        assert check_intersection(X, family, 2) == walked_intersection(X, family, 2)
+
+    def test_non_injective_stage_map_refused(self, monkeypatch):
+        # the first member's stage-1 map sends its cells 1:0 and 1:1 to one cell
+        real = cwtower.factorization.induced_tower_map
+        folded = []
+
+        def fold(*args):
+            tm = real(*args)
+            cells = tm.cells[1].copy()
+            cells[1] = cells[0]
+            folded.append(dataclasses.replace(tm, cells=[tm.cells[0], cells, *tm.cells[2:]]))
+            return folded[-1]
+
+        monkeypatch.setattr(cwtower.factorization, "induced_tower_map", fold)
+        with pytest.raises(ValidationError, match=r"^stage map is not a subset inclusion"
+                           r" \(generator 1:1\)$"):
+            check_intersection(boundary_simplex(2), [EDGE01, EDGE02], 2)
+        assert walked_subcomplex_witness(folded[0]) == (False, (1, R(1, 1)))
+
+    def test_stage_zero_mismatch_fails_every_stage(self, monkeypatch):
+        # the tower of the intersection, vertex 0, is sent to vertex 2: a
+        # stage's image holds the vertices, so every stage differs, although
+        # the cells above stage 0 still match
+        real = cwtower.factorization.induced_tower_map
+
+        def moved(f, g, T, Tp):
+            tm = real(f, g, T, Tp)
+            if g.dom.counts == (1,):
+                tm = dataclasses.replace(tm, cells=[tm.cells[0] + 2, *tm.cells[1:]])
+            return tm
+
+        monkeypatch.setattr(cwtower.factorization, "induced_tower_map", moved)
+        ok, reports = check_intersection(boundary_simplex(2), [EDGE01, EDGE02], 2)
+        assert not ok
+        assert [(r["equal"], r["intersection_size"], r["tower_of_intersection_size"])
+                for r in reports] == [(False, 1, 1), (False, 2, 2), (False, 10, 10)]
+
+    def test_larger_member_intersection_fails(self, monkeypatch):
+        # one stage-1 cell of the first member is sent to a cell of the
+        # second: the members then share one more cell than the tower of
+        # their intersection holds
+        X, e = boundary_simplex(2), empty_map(SimplicialSet.empty())
+        (SA, inclA), (SB, inclB) = subcomplex(X, EDGE01), subcomplex(X, EDGE02)
+        a = induced_tower_map(e, inclA, cw_tower(SA, 2), cw_tower(X, 2)).cells[1]
+        b = induced_tower_map(e, inclB, cw_tower(SB, 2), cw_tower(X, 2)).cells[1]
+        k = next(k for k, c in enumerate(a) if c not in b)
+        real = cwtower.factorization.induced_tower_map
+
+        def shared(f, g, T, Tp):
+            tm = real(f, g, T, Tp)
+            if g == inclA:
+                cells = tm.cells[1].copy()
+                cells[k] = next(c for c in b if c not in a)
+                tm = dataclasses.replace(tm, cells=[tm.cells[0], cells, *tm.cells[2:]])
+            return tm
+
+        monkeypatch.setattr(cwtower.factorization, "induced_tower_map", shared)
+        ok, reports = check_intersection(X, [EDGE01, EDGE02], 2)
+        assert not ok
+        assert [(r["equal"], r["intersection_size"] - r["tower_of_intersection_size"])
+                for r in reports] == [(True, 0), (False, 1), (False, 1)]
+
+
 def with_stage_map(tm, n, edit):
     """``tm`` with stage map n's cell images in dimension n edited by ``edit``."""
     fn = tm.stage_maps[n]
     rows = [list(r) for r in fn.assign]
     edit(rows[n])
-    maps = list(tm.stage_maps)
-    maps[n] = SimplicialMap(fn.dom, fn.cod, tuple(map(tuple, rows)))
-    return type(tm)(source=tm.source, target=tm.target, f=tm.f, g=tm.g,
-                    stage_maps=maps)
+    bad = dataclasses.replace(tm)
+    bad.stage_maps = list(tm.stage_maps)
+    bad.stage_maps[n] = SimplicialMap(fn.dom, fn.cod, tuple(map(tuple, rows)))
+    return bad
 
 
 class TestTowerMapCheck:

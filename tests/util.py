@@ -16,9 +16,13 @@ from cwtower import (
     boundary_inclusion,
     boundary_simplex,
     compose,
+    cw_tower,
+    empty_map,
     enumerate_maps,
+    induced_tower_map,
     map_errors,
     standard_simplex,
+    subcomplex,
 )
 from cwtower.core import face, simplex_errors, subset_witness, validate
 from cwtower.homology import (
@@ -166,6 +170,60 @@ def check_tower_map(tm, cap):
                     if fn(s) != face(Xp, y, i):
                         raise ValidationError(f"stage {n}: induced map is not simplicial"
                                               f" at d_{i} of cell {d}:{c}")
+
+
+def walked_subcomplex_witness(tm):
+    """``check_subcomplex`` by the walk it replaced, the reference for its
+    array reading: the first ``subset_witness`` over the stage maps."""
+    for n, fn in enumerate(tm.stage_maps):
+        w = subset_witness(fn)
+        if w is not None:
+            return False, (n, w)
+    return True, None
+
+
+def image_sets(tm):
+    """The image of each stage map of ``tm``, a subset inclusion, as a set
+    of (dim, index) pairs of target generators."""
+    out = []
+    for f in tm.stage_maps:
+        assert subset_witness(f) is None
+        out.append({(d, f.assign[d][g].gen.index)
+                    for d in range(len(f.dom.counts)) for g in range(f.dom.counts[d])})
+    return out
+
+
+def walked_intersection(X, subsets, cap):
+    """``check_intersection``'s (ok, reports), from the image sets of the
+    stage maps: per stage, the intersection of the members' images against
+    the image of the tower of their intersection."""
+    ambient, e = cw_tower(X, cap), empty_map(SimplicialSet.empty())
+
+    def images(gens):
+        S, incl = subcomplex(X, gens)
+        return image_sets(induced_tower_map(e, incl, cw_tower(S, cap), ambient))
+
+    members = [images(gens) for gens in subsets]
+    total = images(set.intersection(*map(set, subsets)))
+    ok, reports = True, []
+    for n in range(cap + 1):
+        lhs = set.intersection(*[imgs[n] for imgs in members])
+        ok = ok and lhs == total[n]
+        reports.append({"stage": n, "intersection_size": len(lhs),
+                        "tower_of_intersection_size": len(total[n]), "equal": lhs == total[n]})
+    return ok, reports
+
+
+def face_closure(X, gens):
+    """The smallest face-closed generator set of X holding ``gens``."""
+    out, todo = set(), list(gens)
+    while todo:
+        ref = todo.pop()
+        if ref not in out:
+            out.add(ref)
+            if ref.dim:
+                todo.extend(X.face_of_generator(ref, i).gen for i in range(ref.dim + 1))
+    return out
 
 
 def random_one_dim_target(rng, max_gens=4):
