@@ -138,10 +138,8 @@ def _write_dot(tower, out):
     lines = ["graph skeleton {"]
     for v in range(top.count(0)):
         lines.append(f'  v{v} [label="{v}"];')
-    for e in range(top.count(1)):
-        a = top.faces[1][e][1].gen.index
-        b = top.faces[1][e][0].gen.index
-        lines.append(f"  v{a} -- v{b};")
+    for fs in top.faces[1] if top.count(1) else ():
+        lines.append(f"  v{fs[1].gen.index} -- v{fs[0].gen.index};")
     lines.append("}")
     with open(os.path.join(out, "skeleton.dot"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -8,14 +8,13 @@ subsets are literal index ranges, and every stage inclusion is
 ``core.inclusion``, read off the two stages.  The squares are one
 ``SquareRow``: the facets and disks of each square, ranks in the
 ``SquareTable`` of (n, p), and the checks, the new faces and the labels
-all read those ranks.  A stage is checked once, where its cells are
-glued: glued onto a valid set, it is valid, and its ``checked_report``
-is set to ``()`` without the full walk.
+all read those ranks; the faces and labels are made only when read.  A
+stage is checked once, where its cells are glued: glued onto a valid
+set, it is valid, and its ``checked_report`` is set to ``()`` without
+the full walk.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .core import (
     Simplex,
@@ -41,9 +40,9 @@ def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
     p(x_n)), and its facets fit together, d_i x_j = d_{j-1} x_i for i < j,
     which makes the new cell a simplex of X2.  A failure is refused by
     name: the first square, in row order, that breaks the first condition
-    or identity to fail.  The new cell's faces are x_0 .. x_n, and its
-    label, the square's line, is made only when it is read (a ``LabelRow``
-    over the row's ``lines``).
+    or identity to fail.  The new cell's faces, x_0 .. x_n, and its label,
+    the square's line, are made only when they are read (an
+    ``AppendedRow`` over the row's ``faces`` and one over its ``lines``).
 
     So X2 is valid when X is: its ``checked_report`` is then ``()`` at
     once, and else the full ``validate`` walk of X2.
@@ -59,6 +58,9 @@ def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
     if table.p != p:
         raise ValidationError("square 0 was not found over the projection")
     facets, tops = squares.facets, squares.tops
+    if facets.shape[1] != n + 1:
+        raise ValidationError(
+            f"attach_cells: the facet rows are {facets.shape[1]} wide, not n + 1 = {n + 1}")
     wrong = table.faces_b[n][tops] != table.p_top[facets]
     if wrong.any():
         k = int(wrong.any(axis=1).argmax())
@@ -71,8 +73,7 @@ def attach_cells(X: SimplicialSet, squares: SquareRow, p: SimplicialMap):
                 raise ValidationError(
                     f"square {int(wrong.argmax())}: d_{i} x_{j} != d_{j - 1} x_{i}")
     # facet j is the image of d_j, so it is face j of the new cell
-    faces = list(map(tuple, np.array(table.cand_a[n - 1], dtype=object)[facets].tolist()))
-    X2 = with_generators(X, n, faces, squares.lines)
+    X2 = with_generators(X, n, len(squares), squares.faces, squares.lines)
     if not X.checked_report:
         vars(X2)["checked_report"] = ()
     disks = table.cand_b[n]
@@ -89,7 +90,7 @@ def stage_zero(f: SimplicialMap):
     (A0, p0).
     """
     nb = f.cod.count(0)
-    A0 = with_generators(f.dom, 0, [()] * nb,
+    A0 = with_generators(f.dom, 0, nb, lambda start, stop: [()] * (stop - start),
                          lambda start, stop: [f"point->{b}" for b in range(start, stop)])
     if not f.dom.checked_report:
         vars(A0)["checked_report"] = ()

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 
-# How many labels of new generators a ``LabelRow`` makes at a time
-LABEL_CHUNK = 4096
+# How many entries of new generators an ``AppendedRow`` makes at a time
+ROW_CHUNK = 4096
 
 
 class ValidationError(ValueError):
@@ -98,10 +98,11 @@ class SimplicialSet:
     ``d``; trailing zero counts are trimmed so equal sets compare equal.
     ``faces[d][g]`` is the tuple (face_0, ..., face_d) of simplices of
     total dimension d-1; ``faces[0][g]`` is empty.  ``labels`` carries an
-    optional string per generator.
+    optional string per generator.  A row of either table may be an
+    ``AppendedRow``: it is kept as it is, and only its head is checked
+    here, since whoever appended its new entries checked them.
 
-    Equality is literal: counts, face tables and labels (a row may be a
-    ``LabelRow``).
+    Equality is literal: counts, face tables and labels.
     """
 
     counts: tuple
@@ -112,9 +113,10 @@ class SimplicialSet:
         counts = tuple(int(c) for c in self.counts)
         while counts and counts[-1] == 0:
             counts = counts[:-1]
-        faces = tuple(tuple(map(tuple, self.faces[d])) if d < len(self.faces) else ()
-                      for d in range(len(counts)))
-        labels = tuple(row if isinstance(row, (tuple, LabelRow)) else tuple(row)
+        faces = tuple(row if isinstance(row, AppendedRow) else tuple(map(tuple, row))
+                      for row in self.faces[:len(counts)])
+        faces += ((),) * (len(counts) - len(faces))
+        labels = tuple(row if isinstance(row, (tuple, AppendedRow)) else tuple(row)
                        for row in self.labels[:len(counts)])
         labels += ((),) * (len(counts) - len(labels))
         for d, c in enumerate(counts):
@@ -123,8 +125,9 @@ class SimplicialSet:
             if len(labels[d]) != c:
                 raise ValidationError(f"label table length mismatch in dimension {d}")
             want = d + 1 if d else 0
-            if c and not min(map(len, faces[d])) == max(map(len, faces[d])) == want:
-                g, fs = next((g, fs) for g, fs in enumerate(faces[d]) if len(fs) != want)
+            head = faces[d].head if isinstance(faces[d], AppendedRow) else faces[d]
+            if head and not min(map(len, head)) == max(map(len, head)) == want:
+                g, fs = next((g, fs) for g, fs in enumerate(head) if len(fs) != want)
                 if d == 0:
                     raise ValidationError("vertices have no faces")
                 raise ValidationError(f"generator {d}:{g} needs {want} faces, has {len(fs)}")
@@ -170,47 +173,43 @@ class SimplicialSet:
         return self.faces[ref.dim][ref.index][i]
 
     @cached_property
-    def validation_report(self):
-        """What ``validate`` reports, computed once: the value is immutable.
+    def checked_report(self):
+        """What ``validate`` reports, computed once (the value is immutable),
+        unless gluing set it: ``attach_cells`` and ``stage_zero`` set ``()``
+        on a stage glued onto a valid set, whose new cells they checked.
 
         The cache lives in the instance ``__dict__``, outside the fields,
         so the dataclass stays frozen and equality is unchanged.
         """
         return tuple(_validation_report(self))
 
-    @cached_property
-    def checked_report(self):
-        """``validation_report``, unless gluing set it: ``attach_cells`` and
-        ``stage_zero`` set ``()`` on a stage glued onto a valid set, whose
-        new cells they checked."""
-        return self.validation_report
 
+class AppendedRow:
+    """A row of a table, faces or labels: the entries of ``head``, then
+    those of ``count`` new generators, each made when read.
+    ``make(start, stop)`` makes the entries of new generators
+    start..stop-1, and iterating makes them ``ROW_CHUNK`` at a time.
+    Immutable, equal and hashing equal to the tuple of them."""
 
-class LabelRow:
-    """The labels of ``head``, then those of ``count`` new generators, each
-    made when read: ``lines(start, stop)`` makes the labels of new
-    generators start..stop-1, and iterating makes them ``LABEL_CHUNK`` at
-    a time.  Immutable, equal and hashing equal to the tuple of them."""
-
-    def __init__(self, head, lines, count):
-        self.head, self.lines, self.count = head, lines, count
+    def __init__(self, head, make, count):
+        self.head, self.make, self.count = head, make, count
 
     def __len__(self):
         return len(self.head) + self.count
 
     def __iter__(self):
         yield from self.head
-        for start in range(0, self.count, LABEL_CHUNK):
-            yield from self.lines(start, min(start + LABEL_CHUNK, self.count))
+        for start in range(0, self.count, ROW_CHUNK):
+            yield from self.make(start, min(start + ROW_CHUNK, self.count))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self)[i]
         k = range(len(self))[i] - len(self.head)  # IndexError out of range
-        return self.head[k] if k < 0 else self.lines(k, k + 1)[0]
+        return self.head[k] if k < 0 else self.make(k, k + 1)[0]
 
     def __eq__(self, other):
-        return isinstance(other, (tuple, LabelRow)) and tuple(self) == tuple(other)
+        return isinstance(other, (tuple, AppendedRow)) and tuple(self) == tuple(other)
 
     def __hash__(self):
         return hash(tuple(self))
@@ -254,12 +253,11 @@ def validate(X: SimplicialSet):
     """Report every violated simplicial identity or dangling reference.
 
     Returns a list of human-readable strings; empty iff X is well formed.
-    This is the full walk over every generator, the exact reference; it
-    runs once per object, and later calls read its cached report.  A
-    stage glued by ``attach_cells`` was checked where its cells were
-    glued, so its ``checked_report`` needs no walk.
+    This is the full walk over every generator, the exact reference, run
+    at every call; ``X.checked_report`` keeps its report, or ``()`` for a
+    stage whose cells ``attach_cells`` checked where it glued them.
     """
-    return list(X.validation_report)
+    return _validation_report(X)
 
 
 def _validation_report(X: SimplicialSet):
@@ -356,14 +354,16 @@ def appended(rows, d, new):
     return rows[:d] + (rows[d] + new,) + rows[d + 1:]
 
 
-def with_generators(X: SimplicialSet, d, faces, lines) -> SimplicialSet:
-    """X with new d-generators after its own, with these face tuples; the
-    counts are read off the face rows.  ``lines(start, stop)`` gives the
-    labels of new generators start..stop-1, made when read (a ``LabelRow``)."""
-    rows = X.labels + ((),) * (d + 1 - len(X.labels))
-    row = LabelRow(rows[d], lines, len(faces))
-    faces = appended(X.faces, d, faces)
-    return SimplicialSet(tuple(map(len, faces)), faces, rows[:d] + (row,) + rows[d + 1:])
+def with_generators(X: SimplicialSet, d, count, faces, lines) -> SimplicialSet:
+    """X with ``count`` new d-generators after its own.  ``faces(start, stop)``
+    and ``lines(start, stop)`` give the face tuples and the labels of new
+    generators start..stop-1, made when read (an ``AppendedRow`` each)."""
+    def grown(rows, make):
+        rows = rows + ((),) * (d + 1 - len(rows))
+        return rows[:d] + (AppendedRow(rows[d], make, count),) + rows[d + 1:]
+
+    faces = grown(X.faces, faces)
+    return SimplicialSet(tuple(map(len, faces)), faces, grown(X.labels, lines))
 
 
 def identity_map(X: SimplicialSet) -> SimplicialMap:
@@ -407,13 +407,6 @@ def map_errors(f: SimplicialMap):
                             f"generator {d}:{g}: image of d_{i} is {lhs},"
                             f" d_{i} of image is {rhs}")
     return report
-
-
-def check_map(f: SimplicialMap) -> SimplicialMap:
-    errs = map_errors(f)
-    if errs:
-        raise ValidationError("invalid simplicial map: " + "; ".join(errs[:4]))
-    return f
 
 
 def subset_witness(f: SimplicialMap):

@@ -249,8 +249,9 @@ def _grow(X, top, cand=(), rank=(), faces=(), tokens=()):
         cand.append(simplex_candidates(X, d))
         rank.append({s: r for r, s in enumerate(cand[d])})
         tokens.append(list(map(format_simplex, cand[d])))
-        gens = X.faces[d] if d < len(X.counts) else ()
-        rows = [tuple(map(rank[d - 1].__getitem__, gens[s.gen.index] if not s.word
+        # the nondegenerate candidates come first, in generator order
+        gens = iter(X.faces[d] if d < len(X.counts) else ())
+        rows = [tuple(map(rank[d - 1].__getitem__, next(gens) if not s.word
                           else [face(X, s, i) for i in range(d + 1)]))
                 for s in cand[d]] if d else []
         faces.append(np.array(rows, dtype=np.int64).reshape(len(cand[d]), d + 1 if d else 0))
@@ -297,6 +298,11 @@ class SquareTable:
     def yoneda_a(self):
         """The flat Yoneda ranks of every candidate of ``cand_a[n - 1]``."""
         return _yoneda(self.n - 1, self.faces_a, len(self.cand_a[-1]))
+
+    @cached_property
+    def facet_cands(self):
+        """``cand_a[n - 1]``, the simplices that facets rank, as an object array."""
+        return np.array(self.cand_a[-1], dtype=object)
 
     @cached_property
     def yoneda_b(self):
@@ -440,6 +446,11 @@ class SquareRow:
         return (np.array_equal(self.tops, other.tops)
                 and np.array_equal(self.facets, other.facets)
                 and self.table.ranks_alike(other.table))
+
+    def faces(self, start, stop):
+        """The facets of squares start..stop-1 as tuples of simplices, which
+        are their cells' faces."""
+        return list(map(tuple, self.table.facet_cands[self.facets[start:stop]].tolist()))
 
     def lines(self, start, stop):
         """The lines of squares start..stop-1, which label their cells."""

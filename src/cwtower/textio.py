@@ -40,8 +40,8 @@ import re
 from functools import lru_cache
 from itertools import chain, islice
 
-from .core import LABEL_CHUNK, Simplex, SimplexRef, SimplicialMap, SimplicialSet
-from .core import ValidationError, validate
+from .core import ROW_CHUNK, Simplex, SimplexRef, SimplicialMap, SimplicialSet
+from .core import ValidationError, map_errors
 from .homsearch import DEFAULT_BUDGET, AttachmentSquare, SquareTable
 
 FORMAT_VERSION = "v1"
@@ -146,13 +146,14 @@ def _split_tokens(text, line=None):
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-def _gen_lines(X: SimplicialSet):
-    """X's generator lines, one list per dimension.  A label that holds a
-    line break would be cut in two when read, so it is refused."""
-    rows = []
-    for d, c in enumerate(X.counts):
-        rows.append([])
-        for g, label in enumerate(X.labels[d]):
+def _gen_lines(X: SimplicialSet, start=0):
+    """X's generator lines, one list per dimension, made a dimension at a
+    time, each from generator ``start`` on.  A label that holds a line
+    break would be cut in two when read, so it is refused."""
+    for d in range(len(X.counts)):
+        row = []
+        gens = islice(zip(X.labels[d], X.faces[d]), start, None)
+        for g, (label, fs) in enumerate(gens, start):
             parts = [f"gen {d}:{g}"]
             if label is not None:
                 if _LINE_BREAK.search(label):
@@ -160,9 +161,9 @@ def _gen_lines(X: SimplicialSet):
                         f"generator {d}:{g}: label {label!r} holds a line break")
                 parts.append(f"label {_quote(label)}")
             if d >= 1:
-                parts.append("faces " + " ".join(map(format_simplex, X.faces[d][g])))
-            rows[d].append(" ".join(parts) + "\n")
-    return rows
+                parts.append("faces " + " ".join(map(format_simplex, fs)))
+            row.append(" ".join(parts) + "\n")
+        yield row
 
 
 def _batched(lines, count, size=1024):
@@ -174,9 +175,9 @@ def _batched(lines, count, size=1024):
 def _sset_chunks(counts, rows):
     """A set's text in pieces, from its counts and rows of generator lines."""
     yield f"sset {FORMAT_VERSION}\ndims {len(counts)}\n"
-    for d, c in enumerate(counts):
+    for d, (c, row) in enumerate(zip(counts, rows)):
         yield f"dim {d} count {c}\n"
-        yield from _batched(rows[d], c)
+        yield from _batched(row, c)
 
 
 def format_sset(X: SimplicialSet) -> str:
@@ -212,8 +213,7 @@ def parse_sset(text) -> SimplicialSet:
     def expect(kind):
         nonlocal pos
         if pos >= len(lines):
-            raise ParseError(f"unexpected end of input, wanted {kind}",
-                             lines[-1][0] if lines else None)
+            raise ParseError(f"unexpected end of input, wanted {kind}", lines[-1][0])
         return lines[pos]
 
     no, header = expect("header")
@@ -249,7 +249,7 @@ def parse_sset(text) -> SimplicialSet:
             if len(toks) < 2 or toks[1][0] != "word" or toks[1][1] != f"{d}:{g}":
                 raise ParseError(f"expected generator id {d}:{g}", no)
             label = None
-            fs = None
+            fs = ()
             i = 2
             while i < len(toks):
                 kind, val = toks[i]
@@ -266,25 +266,20 @@ def parse_sset(text) -> SimplicialSet:
                         i += 1
                 else:
                     raise ParseError(f"unexpected token {val!r}", no)
-            if d == 0:
-                if fs:
-                    raise ParseError("vertices must not list faces", no)
-                fs = ()
-            else:
-                if fs is None or len(fs) != d + 1:
-                    raise ParseError(
-                        f"generator {d}:{g} needs exactly {d + 1} faces", no)
+            if d == 0 and fs:
+                raise ParseError("vertices must not list faces", no)
+            if d and len(fs) != d + 1:
+                raise ParseError(f"generator {d}:{g} needs exactly {d + 1} faces", no)
             faces[d].append(tuple(fs))
             labels[d].append(label)
             pos += 1
     if pos != len(lines):
         raise ParseError("trailing content after simplicial set", lines[pos][0])
     try:
-        X = SimplicialSet(tuple(counts), tuple(tuple(r) for r in faces),
-                          tuple(tuple(r) for r in labels))
+        X = SimplicialSet(counts, faces, labels)
     except ValueError as e:
         raise ParseError(str(e))
-    errs = validate(X)
+    errs = X.checked_report
     if errs:
         raise ParseError("invalid simplicial set: " + "; ".join(errs[:4]))
     return X
@@ -294,10 +289,11 @@ def parse_sset(text) -> SimplicialSet:
 # Simplicial maps
 # ---------------------------------------------------------------------------
 
-def _map_lines(assign):
-    """The assignment lines of a map table, one list per dimension."""
-    return [[f"gen {d}:{g} -> {format_simplex(s)}\n" for g, s in enumerate(row)]
-            for d, row in enumerate(assign)]
+def _map_lines(assign, start=0):
+    """The assignment lines of a map table, one list per dimension, made a
+    dimension at a time, each from generator ``start`` on."""
+    return ([f"gen {d}:{g} -> {format_simplex(s)}\n" for g, s in enumerate(row[start:], start)]
+            for d, row in enumerate(assign))
 
 
 def _smap_chunks(counts, rows):
@@ -312,8 +308,6 @@ def format_smap(f: SimplicialMap) -> str:
 
 
 def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
-    from .core import check_map
-
     lines = list(_numbered_lines(text))
     if not lines or lines[0][1].split()[:2] != ["smap", FORMAT_VERSION]:
         raise ParseError(f"expected 'smap {FORMAT_VERSION}' header",
@@ -341,9 +335,12 @@ def parse_smap(text, dom: SimplicialSet, cod: SimplicialSet) -> SimplicialMap:
         ref = next(iter(table))
         raise ParseError(f"assignment for unknown generator {ref.dim}:{ref.index}")
     try:
-        return check_map(SimplicialMap(dom, cod, tuple(assign)))
+        f = SimplicialMap(dom, cod, tuple(assign))
+        if errs := map_errors(f):
+            raise ValidationError("invalid simplicial map: " + "; ".join(errs[:4]))
     except ValueError as e:
         raise ParseError(str(e))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +419,8 @@ class _TowerLines:
     """
 
     def __init__(self, f: SimplicialMap):
-        self.f, self.gens, self.target = f, _gen_lines(f.dom), _gen_lines(f.cod)
-        self.proj = _map_lines(f.assign)
+        self.f, self.gens, self.target = f, list(_gen_lines(f.dom)), list(_gen_lines(f.cod))
+        self.proj = list(_map_lines(f.assign))
 
     def input_files(self, cap):
         # the variant line is constant; it stays so that v1 directories keep their bytes
@@ -438,14 +435,14 @@ class _TowerLines:
         for rows in (self.gens, self.proj):
             rows.extend([] for _ in range(len(rows), n + 1))
         if n == 0 and X.counts:  # the new vertices, after A's generators
-            self.gens[0] += _gen_lines(X)[0][old:]
-            self.proj[0] += _map_lines(tower.projections[0].assign)[0][old:]
+            self.gens[0] += next(_gen_lines(X, old))
+            self.proj[0] += next(_map_lines(tower.projections[0].assign, old))
         elif tower.squares[n]:
             row = tower.squares[n]
             tokens = row.table.yoneda_tokens[:, -1]  # each candidate's own token
             faces = chain.from_iterable(  # one take of facet tokens per chunk of rows
-                tokens[row.facets[a:a + LABEL_CHUNK]].tolist()
-                for a in range(0, len(row), LABEL_CHUNK))
+                tokens[row.facets[a:a + ROW_CHUNK]].tolist()
+                for a in range(0, len(row), ROW_CHUNK))
             new = islice(X.labels[n], old, None)  # labels made a chunk at a time
             for g, (fs, b, label) in enumerate(zip(faces, row.tops.tolist(), new), old):
                 labels.append(label + "\n")

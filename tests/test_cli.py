@@ -96,6 +96,19 @@ class TestBuild:
         assert code == 0
         assert (tmp_path / "t" / "stage_1.sset").exists()
 
+    def test_with_domain_and_map_digest(self, tmp_path, capsys):
+        # stage 0 appends one vertex per target vertex after the domain's
+        # generators, which here run up to dimension 1
+        incl = boundary_inclusion(2)
+        for name, text in (("dom.sset", format_sset(incl.dom)),
+                           ("cod.sset", format_sset(incl.cod)), ("incl.smap", format_smap(incl))):
+            (tmp_path / name).write_text(text)
+        assert main(["build", str(tmp_path / "cod.sset"), "--domain", str(tmp_path / "dom.sset"),
+                     "--map", str(tmp_path / "incl.smap"), "--out", str(tmp_path / "t"),
+                     "--max-dim", "2"]) == 0
+        assert tree_sha256(tmp_path / "t") == (
+            "7b22aebe365d0569b3e43181a4394362135b94239438e08df999f9fa6c998b38")
+
     def test_dot_files(self, point_file, tmp_path, capsys):
         out = tmp_path / "t"
         assert main(["build", point_file, "--out", str(out), "--dot"]) == 0

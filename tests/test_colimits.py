@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import os
 import weakref
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cwtower import (
@@ -22,18 +24,21 @@ from cwtower import (
     format_sset,
     identity_map,
     induced_tower_map,
+    parse_sset,
+    save_tower,
     square_commutes,
     stage_zero,
     standard_simplex,
     validate,
 )
 from cwtower import core
-from cwtower.core import LabelRow, Simplex, SimplexRef, SimplicialMap, boundary_inclusion
+from cwtower.core import AppendedRow, Simplex, SimplexRef, SimplicialMap, boundary_inclusion
 from cwtower.core import appended, inclusion, with_generators
 from cwtower.homsearch import SquareRow, SquareTable
+from cwtower.textio import read_text
 
 from util import assert_stage_glues_oracle, oracle_enumerate_squares, oracle_square_line
-from util import CONSTRUCTIONS, constructed, is_simplicial_subset, vertex_with_loop
+from util import CONSTRUCTIONS, constructed, eager_faces, is_simplicial_subset, vertex_with_loop
 
 
 def point_projection(X):
@@ -125,6 +130,17 @@ class TestAttachCells:
         with pytest.raises(ValidationError, match="square 1: attaching square does not commute"):
             attach_cells(T.stages[0], row, p)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_facet_rows_of_the_wrong_width_rejected(self, n):
+        T = cw_tower(standard_simplex(0), 3)
+        X, p, table = T.stages[n - 1], T.projections[n - 1], T.squares[n].table
+        for width in (n, n + 2, 1):
+            row = SquareRow(table, np.zeros((2, width), dtype=np.int64), [0, 0])
+            with pytest.raises(ValidationError) as err:
+                attach_cells(X, row, p)
+            assert str(err.value) == (
+                f"attach_cells: the facet rows are {width} wide, not n + 1 = {n + 1}")
+
     def test_square_outside_the_stage_rejected(self):
         # a square of the circle's stage 1 cannot be ranked over the point's
         T = cw_tower(boundary_simplex(2), 1)
@@ -151,7 +167,7 @@ def glued_unchecked(X, row, p):
     made without ``attach_cells``, so the facets are not checked."""
     table, n = row.table, row.table.n
     faces = [tuple(map(table.cand_a[n - 1].__getitem__, fs)) for fs in row.facets.tolist()]
-    X2 = with_generators(X, n, faces, row.lines)
+    X2 = with_generators(X, n, len(faces), lambda start, stop: faces[start:stop], row.lines)
     disks = map(table.cand_b[n].__getitem__, row.tops.tolist())
     return X2, SimplicialMap(X2, p.cod, appended(p.assign, n, disks))
 
@@ -251,7 +267,7 @@ class TestLabelView:
         for n in range(1, 4):
             X, row = T.stages[n], T.stages[n].labels[n]
             want = tuple(oracle_square_line(n, sq.attach, sq.disk) for sq in T.squares[n])
-            assert isinstance(row, LabelRow) and len(row) == len(want)
+            assert isinstance(row, AppendedRow) and len(row) == len(want)
             assert row == want and want == row and hash(row) == hash(want)
             assert tuple(row) == want and row[1:] == want[1:] and row[-1] == want[-1]
             plain = SimplicialSet(X.counts, X.faces, tuple(map(tuple, X.labels)))
@@ -279,6 +295,45 @@ class TestLabelView:
         assert check_intersection(X, edges, 3)[0]
         T = cw_tower(X, 3)
         induced_tower_map(empty_map(SimplicialSet.empty()), identity_map(X), T, T)
+
+
+RP2 = parse_sset(read_text(os.path.join(os.path.dirname(__file__), "data", "rp2.sset")))
+
+
+class TestFaceView:
+    """attach_cells builds no face tuple: a stage's row of faces is a view
+    that makes the new cells' faces from their squares' facets when read."""
+
+    @pytest.mark.parametrize("f", [
+        empty_map(standard_simplex(0)), empty_map(standard_simplex(1)),
+        empty_map(boundary_simplex(2)), empty_map(standard_simplex(2)), empty_map(RP2),
+        identity_map(standard_simplex(2))],
+        ids=["point", "interval", "circle", "disk", "rp2", "disk-identity"])
+    def test_view_is_the_eager_gather(self, f):
+        T = build_tower(f, 3)
+        for n, (below, X) in enumerate(zip([f.dom, *T.stages], T.stages)):
+            row, new = X.faces[n], X.count(n) - below.count(n)
+            want = tuple(below.faces[n] if n <= below.dim else ())
+            want += eager_faces(T.squares[n]) if n else ((),) * new
+            assert isinstance(row, AppendedRow) and row.count == new
+            assert row == want and want == row and hash(row) == hash(want)
+            assert tuple(row) == want and row[1:] == want[1:] and row[-1] == want[-1]
+            assert [row[g] for g in range(len(row))] == list(want)
+            with pytest.raises(IndexError):
+                row[len(row)]
+
+    def test_build_and_save_make_no_top_face(self, tmp_path, monkeypatch):
+        faces = SquareRow.faces
+
+        def refuse_top(row, start, stop):
+            assert row.table.n < 3, "a face of a stage-3 cell was made"
+            return faces(row, start, stop)
+
+        monkeypatch.setattr(SquareRow, "faces", refuse_top)
+        T = cw_tower(boundary_simplex(2), 3)
+        save_tower(T, tmp_path / "t")
+        with pytest.raises(AssertionError, match="stage-3 cell"):
+            chain_complex(T.top)
 
 
 class TestUnionThrough:

@@ -145,9 +145,9 @@ class TestValidate:
     def test_report_computed_once_and_equality_unchanged(self):
         X = standard_simplex(3)
         Y = SimplicialSet(X.counts, X.faces, X.labels)
-        assert validate(X) == []
-        assert X.validation_report is X.validation_report
-        assert "validation_report" in vars(X) and "validation_report" not in vars(Y)
+        assert validate(X) == [] and X.checked_report == ()
+        assert X.checked_report is X.checked_report
+        assert "checked_report" in vars(X) and "checked_report" not in vars(Y)
         assert X == Y and hash(X) == hash(Y)
         with pytest.raises(AttributeError):
             X.counts = ()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cwtower.core
 import cwtower.factorization
 import cwtower.textio
 from cwtower import (
@@ -319,13 +320,17 @@ class TestTowerDirectory:
         save_tower(cw_tower(B, 3), tmp_path / name)
         assert tree_sha256(tmp_path / name) == GOLDEN_CAP3[name]
 
-    def test_golden_digest_point_cap_4(self, tmp_path):
+    def test_golden_digest_point_cap_4(self, tmp_path, monkeypatch):
+        walked, walk = [], cwtower.core._validation_report
+        monkeypatch.setattr(cwtower.core, "_validation_report",
+                            lambda X: walked.append(X) or walk(X))
         T = cw_tower(standard_simplex(0), 4, budget=10**9)
         save_tower(T, tmp_path / "p4")
         assert tree_sha256(tmp_path / "p4") == GOLDEN_CAP4_POINT
         # each stage was checked where it was glued, and the full walk agrees
+        assert {id(X) for X in walked}.isdisjoint(map(id, T.stages))
         for X in T.stages:
-            assert X.checked_report == () and "validation_report" not in vars(X)
+            assert X.checked_report == ()
             assert validate(X) == []
 
     def test_save_load_round_trip(self, tmp_path):

@@ -95,6 +95,14 @@ def oracle_square_line(n, attach, disk):
     return f"square n={n} attach[{tokens(attach)}] disk[{tokens(disk)}]"
 
 
+def eager_faces(row):
+    """The faces of a square row's cells, made at once: ``cand_a[n - 1]``
+    gathered at the facets, one tuple per cell.  The reference for the row
+    of faces that ``attach_cells`` appends, which makes them when read."""
+    cand = np.array(row.table.cand_a[row.table.n - 1], dtype=object)
+    return tuple(map(tuple, cand[row.facets].tolist()))
+
+
 def assert_stage_glues_oracle(T, n, oracle):
     """Stage n of T has one new cell per oracle square, in order: its faces
     are the attaching map's images of d_0 .. d_n and its projection is the
